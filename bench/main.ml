@@ -876,7 +876,7 @@ let s2 () =
   done;
   Fmt.pr "world: %d types, %d chained concepts, %d ops, %d models@." ntypes
     nconcepts (2 * ntypes) ntypes;
-  (* the seed lookups: scans over the registry's exposed lists *)
+  (* the seed lookups: linear scans over the declarations *)
   let args_equal a1 a2 =
     List.length a1 = List.length a2 && List.for_all2 Ctype.equal a1 a2
   in
@@ -885,7 +885,13 @@ let s2 () =
       (fun m ->
         String.equal m.Registry.mo_concept concept
         && args_equal m.Registry.mo_args args)
-      reg.Registry.models
+      (Registry.models reg)
+  in
+  let refinement_edges =
+    List.concat_map
+      (fun (c : Concept.t) ->
+        List.map (fun (r, _) -> (c.Concept.name, r)) c.Concept.refines)
+      (Registry.concepts reg)
   in
   let refines_ref a b =
     let rec go visited c =
@@ -894,7 +900,7 @@ let s2 () =
       else
         List.exists
           (fun (x, y) -> String.equal x c && go (c :: visited) y)
-          reg.Registry.refinement_edges
+          refinement_edges
     in
     go [] a
   in
@@ -1866,9 +1872,18 @@ let s10 () =
   (* -- the headline: a million simulated users ----------------------- *)
   Fmt.pr "@.million: 1e6 open-loop requests across 32 replicas, every \
           answer audited against a single node...@.";
+  (* a telemetry sink counts registry index builds: one per world, the
+     32 replicas' and the audit's; sandboxes are overlays and build
+     none. The advisory wall probe below includes the sink. *)
   let t0 = Unix.gettimeofday () in
-  let mo =
-    Scenario.run ~seed ~audit:true ~declare_standard (scenario "million")
+  let mo, rebuilds =
+    Gp_telemetry.Tel.with_installed (fun sink ->
+        let mo =
+          Scenario.run ~seed ~audit:true ~declare_standard (scenario "million")
+        in
+        ( mo,
+          Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics
+            "gp_registry_index_rebuilds_total" ))
   in
   let wall = Unix.gettimeofday () -. t0 in
   Fmt.pr "%a" Scenario.pp_outcome mo;
@@ -1902,6 +1917,10 @@ let s10 () =
     (100.0 *. mo.Scenario.o_hit_ratio);
   record ~experiment:"s10" "million_peak_queue"
     (float_of_int mo.Scenario.o_peak_queue);
+  Fmt.pr "registry index rebuilds: %.0f over %d requests@." rebuilds
+    mo.Scenario.o_requests;
+  record ~experiment:"s10" "million_index_rebuilds_per_request"
+    (rebuilds /. float_of_int mo.Scenario.o_requests);
   (* wall-clock probes: meaningless under --quick quotas, null there
      (bench-diff skips null) *)
   if !quota < 0.45 then begin

@@ -1359,7 +1359,8 @@ let complexity_cmd =
    higher-better as a ratio, _pct is lower-better in additive percentage
    points, _bytes_per_request and _minor_words are lower-better as
    ratios (allocation counts — deterministic, so regressions here are
-   real even under --quick quotas), _fitted_degree must match exactly
+   real even under --quick quotas), other _per_request counts are
+   lower-better as ratios, _fitted_degree must match exactly
    (a fitted complexity class has no tolerance: growing from O(n) to
    O(n log n) is the regression s8 exists to catch — and an improvement
    means the declared bound should be tightened, deliberately),
@@ -1465,6 +1466,12 @@ let bench_diff_cmd =
                          machine load, so they gate even in CI *)
                       ( nv > ov *. (1.0 +. tolerance),
                         Printf.sprintf "%.1f -> %.1f" ov nv )
+                    else if ends_with "_per_request" name then
+                      (* exact per-request counts (spans, index
+                         rebuilds): lower-better as a ratio, shown at
+                         the recorded precision *)
+                      ( nv > ov *. (1.0 +. tolerance),
+                        Printf.sprintf "%.3f -> %.3f" ov nv )
                     else
                       ( nv > ov *. (1.0 +. tolerance),
                         Printf.sprintf "%.0f -> %.0f" ov nv )

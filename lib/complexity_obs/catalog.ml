@@ -108,7 +108,7 @@ let registry_scan n =
            incr examined;
            String.equal m.Registry.mo_concept "K"
            && args_equal m.Registry.mo_args args)
-         reg.Registry.models)
+         (Registry.models reg))
   in
   scan [ Ctype.Named "T0" ];
   scan [ Ctype.Named (Printf.sprintf "T%d" (n - 1)) ];

@@ -521,17 +521,7 @@ let load_items reg items =
       | Itype { name; assoc } -> (
         match Registry.find_type reg name with
         | None -> Registry.declare_type reg name ~assoc
-        | Some td ->
-          let merged =
-            td.Registry.td_assoc
-            @ List.filter
-                (fun (f, _) -> not (List.mem_assoc f td.Registry.td_assoc))
-                assoc
-          in
-          reg.Registry.types <-
-            (name, { td with Registry.td_assoc = merged })
-            :: List.remove_assoc name reg.Registry.types;
-          Registry.touch reg)
+        | Some _ -> Registry.extend_type reg name assoc)
       | Iop { name; params; ret } -> Registry.declare_op reg name params ret
       | Imodel { concept; args; axioms } ->
         Registry.declare_model reg concept args ~axioms)

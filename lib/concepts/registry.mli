@@ -23,28 +23,37 @@ type model = {
   mo_doc : string;
 }
 
-type t = {
-  mutable concepts : (string * Concept.t) list;
-  mutable types : (string * type_desc) list;
-  mutable ops : Concept.signature list;
-  mutable models : model list;
-  mutable refinement_edges : (string * string) list;
-  mutable generation : int;
-}
+type t
+(** A registry is a root or an overlay. A root owns its declarations and
+    hash indexes over them, kept inside the value and updated by every
+    declaration, so lookups never rebuild anything. An overlay
+    ({!overlay}) is a scope over a parent: lookups read the overlay's
+    own declarations first, then ask the parent, whose indexes are
+    shared, never copied. Creating a root counts one in the telemetry
+    counter [gp_registry_index_rebuilds_total]; an overlay counts
+    nothing. *)
 
 val create : unit -> t
+(** A fresh, empty root. *)
+
+val overlay : t -> t
+(** [overlay parent] is an empty scope over [parent] — G's lexically
+    scoped model declarations (Siek & Lumsdaine), applied to the
+    runtime engine. Declarations go into the overlay only; [parent]'s
+    contents, generation and index are unchanged by them. The overlay
+    answers every query exactly as a fresh root holding [parent]'s
+    declarations followed by the overlay's would: local names shadow
+    the parent's, {!find_ops} and {!find_model} stay most recent first,
+    a name already declared in the parent is a {!Duplicate}, and
+    refinement runs across the layers in both directions. *)
 
 val generation : t -> int
-(** Monotone counter bumped by every declaration (and by {!touch}).
-    Memo caches over registry-dependent queries — e.g.
-    {!Propagate.closure} — include it in their keys, so mutating the
-    registry invalidates cached answers without any notification
-    machinery. *)
-
-val touch : t -> unit
-(** Bump {!generation}. Call after mutating the record fields directly
-    (as {!Lang.load_items} and {!Archetype} do for associated-type
-    refinement) so caches observe the change. *)
+(** Monotone counter bumped by every declaration. An overlay's is its
+    parent's plus its own declarations — the generation of the
+    equivalent fresh root. Memo caches over registry-dependent queries
+    — e.g. {!Propagate.closure} — include it in their keys, so
+    mutating the registry invalidates cached answers without any
+    notification machinery. *)
 
 exception Duplicate of string
 
@@ -55,6 +64,14 @@ val declare_concept : t -> Concept.t -> unit
 
 val declare_type :
   ?doc:string -> ?assoc:(string * Ctype.t) list -> t -> string -> unit
+(** Raises {!Duplicate} on a name collision. *)
+
+val extend_type : t -> string -> (string * Ctype.t) list -> unit
+(** [extend_type t name assoc] appends to a declared type's
+    associated-type bindings those of [assoc] whose field is not yet
+    bound, and bumps the generation. In an overlay over the type's
+    declaring layer the extended description shadows the parent's.
+    Raises [Invalid_argument] when [name] is undeclared. *)
 
 val declare_op : ?doc:string -> t -> string -> Ctype.t list -> Ctype.t -> unit
 
@@ -74,6 +91,8 @@ val find_type : t -> string -> type_desc option
 val find_model : t -> string -> Ctype.t list -> model option
 val concepts : t -> Concept.t list
 val models : t -> model list
+(** All concepts and models, most recent first (an overlay's own before
+    its parent's). *)
 
 val resolve : t -> Ctype.t -> Ctype.t option
 (** Resolve a type expression to ground normal form by following

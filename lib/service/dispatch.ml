@@ -69,7 +69,6 @@ let clear_caches c =
 
 type t = {
   registry : Registry.t; (* the shared standard world; never mutated here *)
-  declare_standard : Registry.t -> unit; (* to build per-request sandboxes *)
   insts : Gp_simplicissimus.Instances.t;
   rules : Gp_simplicissimus.Rules.t list;
   select : Gp_structla.Select.t; (* the three numeric overload generics *)
@@ -80,7 +79,6 @@ let create ~declare_standard ~cache_capacity () =
   let registry = Registry.create () in
   declare_standard registry;
   { registry;
-    declare_standard;
     insts = Gp_simplicissimus.Instances.standard ();
     rules =
       Gp_simplicissimus.Rules.builtin
@@ -129,8 +127,7 @@ let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
     | Some source -> (
       match parsed_defs t ~caching ~budget source with
       | items, hit -> (
-        let reg = Registry.create () in
-        t.declare_standard reg;
+        let reg = Registry.overlay t.registry in
         Budget.spend budget (List.length items);
         match Lang.load_items reg items with
         | () -> Ok (reg, hit)

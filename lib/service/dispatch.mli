@@ -6,7 +6,8 @@
     names and rewrite non-termination become structured errors; budget
     exhaustion escapes as {!Budget.Exhausted} for the server to convert.
     The shared standard registry is never mutated — [Check] requests
-    carrying extra [.gpc] declarations get a per-request sandbox. *)
+    carrying extra [.gpc] declarations get a per-request sandbox, a
+    {!Gp_concepts.Registry.overlay} over it that reuses its index. *)
 
 type caches = {
   closures : string list Lru.t;
@@ -44,8 +45,7 @@ val create :
   unit ->
   t
 (** [declare_standard] populates a fresh registry with the standard
-    world; it is called once for the shared registry and once per
-    sandboxed [Check] request carrying defs. *)
+    world; it is called once, for the shared registry. *)
 
 val registry : t -> Gp_concepts.Registry.t
 val caches : t -> caches

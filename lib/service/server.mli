@@ -41,8 +41,8 @@ type t
 
 val create :
   ?config:config -> declare_standard:(Gp_concepts.Registry.t -> unit) -> unit -> t
-(** [declare_standard] populates the server's shared registry (and any
-    per-request sandbox) with the standard world. *)
+(** [declare_standard] populates the server's shared registry with the
+    standard world; per-request sandboxes are overlays over it. *)
 
 val config : t -> config
 val metrics : t -> Metrics.t

@@ -376,15 +376,16 @@ let test_propagation_exponential_tower () =
   Alcotest.(check bool) "more than one obligation" true (List.length obs > depth)
 
 (* ------------------------------------------------------------------ *)
-(* Indexed registry lookups == linear-scan reference (property)        *)
+(* Registry lookups and overlays == declaration-log oracles (property) *)
 (* ------------------------------------------------------------------ *)
 
-(* The registry now answers find_concept / find_type / find_model /
-   find_ops / refines from generation-keyed hashtable indexes. These
-   properties pit every lookup against a scan of the registry's exposed
-   association lists (the seed implementation), on random worlds, before
-   and after interleaved mutations — including a Lang.load_items-style
-   direct field write — so a stale index can never go unnoticed. *)
+(* Random worlds are lists of .gpc items loaded one at a time through
+   Lang.load_items: concepts that refine and require any concept name,
+   declared or not (so refinement can cross overlay layers in either
+   direction, cycles included), types with associated-type bindings
+   (re-declaring one extends it), ops and models. The oracles answer
+   every lookup from the accepted items alone, by linear scans of the
+   generated declarations, so they share nothing with the registry. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -392,199 +393,263 @@ let nconcepts = 8
 let ntypes = 5
 let cname i = Printf.sprintf "C%d" i
 let tyname i = Printf.sprintf "ty%d" i
+let cnames = List.init nconcepts cname @ [ "nope" ]
+let tynames = List.init ntypes tyname @ [ "nope" ]
 
-let find_concept_ref (reg : Registry.t) name =
-  List.assoc_opt name reg.Registry.concepts
-
-let find_type_ref (reg : Registry.t) name =
-  List.assoc_opt name reg.Registry.types
-
-let ctype_args_equal a1 a2 =
-  List.length a1 = List.length a2 && List.for_all2 Ctype.equal a1 a2
-
-let find_model_ref (reg : Registry.t) concept args =
-  List.find_opt
-    (fun m ->
-      String.equal m.Registry.mo_concept concept
-      && ctype_args_equal m.Registry.mo_args args)
-    reg.Registry.models
-
-let find_ops_ref (reg : Registry.t) name params =
-  List.filter
-    (fun (s : Concept.signature) ->
-      String.equal s.Concept.op_name name
-      && ctype_args_equal s.Concept.op_params params)
-    reg.Registry.ops
-
-let refines_ref (reg : Registry.t) a b =
-  let rec go visited c =
-    if String.equal c b then true
-    else if List.mem c visited then false
-    else
-      List.exists
-        (fun (x, y) -> String.equal x c && go (c :: visited) y)
-        reg.Registry.refinement_edges
-  in
-  go [] a
-
-type world_decl = {
-  w_edges : (int * int) list; (* concept i refines concept j, j < i *)
-  w_reqs : (int * int) list; (* concept i requires Models C_j, j < i *)
-  w_ops : (string * int list * int) list;
-  w_models : (int * int) list; (* (concept index, argument type index) *)
-}
-
-let world_arb =
+let item_gen =
   let open QCheck.Gen in
-  let edge =
-    int_range 1 (nconcepts - 1) >>= fun i ->
-    int_range 0 (i - 1) >>= fun j -> return (i, j)
+  let ty = map (fun i -> n (tyname i)) (int_range 0 (ntypes - 1)) in
+  let concept_name = map cname (int_range 0 (nconcepts - 1)) in
+  let concept =
+    concept_name >>= fun name ->
+    list_size (int_range 0 2) concept_name >>= fun refs ->
+    list_size (int_range 0 1) concept_name >>= fun reqs ->
+    bool >>= fun elem ->
+    oneofl [ None; Some "f"; Some "g" ] >|= fun op ->
+    let t = v "T" in
+    let ret = if elem then Ctype.Assoc (t, "elem") else t in
+    Lang.Iconcept
+      (Concept.make ~params:[ "T" ]
+         ~refines:(List.map (fun r -> (r, [ t ])) refs)
+         name
+         ((Concept.axiom "t" "true"
+          :: List.map (fun r -> Concept.Constraint (Concept.Models (r, [ t ]))) reqs)
+         @ (if elem then [ Concept.assoc_type "elem" ] else [])
+         @ Option.fold ~none:[] ~some:(fun f -> [ Concept.signature f [ t ] ret ]) op))
+  in
+  let tydecl =
+    int_range 0 (ntypes - 1) >>= fun i ->
+    list_size (int_range 0 2) (pair (oneofl [ "elem"; "key" ]) ty) >|= fun assoc ->
+    Lang.Itype { name = tyname i; assoc }
   in
   let op =
     oneofl [ "f"; "g"; "h" ] >>= fun name ->
-    list_size (int_range 0 2) (int_range 0 (ntypes - 1)) >>= fun ps ->
-    int_range 0 (ntypes - 1) >>= fun ret -> return (name, ps, ret)
+    list_size (int_range 0 2) ty >>= fun params ->
+    ty >|= fun ret -> Lang.Iop { name; params; ret }
   in
   let model =
-    int_range 0 (nconcepts - 1) >>= fun c ->
-    int_range 0 (ntypes - 1) >>= fun a -> return (c, a)
+    concept_name >>= fun concept ->
+    ty >>= fun a ->
+    oneofl [ []; [ "t" ] ] >|= fun axioms ->
+    Lang.Imodel { concept; args = [ a ]; axioms }
   in
-  QCheck.make
-    ( list_size (int_range 0 10) edge >>= fun w_edges ->
-      list_size (int_range 0 6) edge >>= fun w_reqs ->
-      list_size (int_range 0 12) op >>= fun w_ops ->
-      list_size (int_range 0 10) model >>= fun w_models ->
-      return { w_edges; w_reqs; w_ops; w_models } )
+  frequency [ (2, concept); (2, tydecl); (3, op); (2, model) ]
 
-let build_registry w =
-  let reg = Registry.create () in
-  for i = 0 to ntypes - 1 do
-    Registry.declare_type reg (tyname i)
-  done;
-  for i = 0 to nconcepts - 1 do
-    let refines =
-      List.filter_map
-        (fun (x, j) ->
-          if x = i then Some (cname j, [ Ctype.Var "T" ]) else None)
-        w.w_edges
-    in
-    let reqs =
-      List.filter_map
-        (fun (x, j) ->
-          if x = i then
-            Some
-              (Concept.Constraint (Concept.Models (cname j, [ Ctype.Var "T" ])))
-          else None)
-        w.w_reqs
-    in
-    Registry.declare_concept reg
-      (Concept.make ~params:[ "T" ] ~refines (cname i)
-         (Concept.axiom "t" "true" :: reqs))
-  done;
-  List.iter
-    (fun (name, ps, ret) ->
-      Registry.declare_op reg name
-        (List.map (fun p -> n (tyname p)) ps)
-        (n (tyname ret)))
-    w.w_ops;
-  List.iter
-    (fun (c, a) -> Registry.declare_model reg (cname c) [ n (tyname a) ])
-    w.w_models;
-  reg
+let items_gen = QCheck.Gen.(list_size (int_range 0 16) item_gen)
+let world_arb = QCheck.make items_gen
+let worlds2_arb = QCheck.make QCheck.Gen.(pair items_gen items_gen)
+let worlds3_arb = QCheck.make QCheck.Gen.(triple items_gen items_gen items_gen)
 
-(* Apply a second declaration batch to an existing registry: more ops and
-   models, a fresh concept, and a Lang.load_items-style direct mutation
-   of the [types] field followed by [touch]. *)
-let mutate_registry reg w =
-  List.iter
-    (fun (name, ps, ret) ->
-      Registry.declare_op reg name
-        (List.map (fun p -> n (tyname p)) ps)
-        (n (tyname ret)))
-    w.w_ops;
-  List.iter
-    (fun (c, a) -> Registry.declare_model reg (cname c) [ n (tyname a) ])
-    w.w_models;
-  (match w.w_edges with
-  | (_, j) :: _ ->
-    Registry.declare_concept reg
-      (Concept.make ~params:[ "T" ]
-         ~refines:[ (cname j, [ Ctype.Var "T" ]) ]
-         "Extra"
-         [ Concept.axiom "t" "true" ])
-  | [] -> ());
-  reg.Registry.types <-
-    ( tyname 0,
-      { Registry.td_name = tyname 0; td_assoc = [ ("elem", n (tyname 1)) ];
-        td_doc = "shadow" } )
-    :: reg.Registry.types;
-  Registry.touch reg
+(* The oracles read [log], the accepted items, most recent first. *)
 
-let registry_lookups_agree w reg =
-  let ok = ref true in
-  let check b = ok := !ok && b in
-  for i = 0 to nconcepts - 1 do
-    check
-      (Registry.find_concept reg (cname i) = find_concept_ref reg (cname i));
-    for j = 0 to nconcepts - 1 do
-      check
-        (Registry.refines reg (cname i) (cname j)
-        = refines_ref reg (cname i) (cname j))
-    done;
-    for a = 0 to ntypes - 1 do
-      check
-        (Registry.find_model reg (cname i) [ n (tyname a) ]
-        = find_model_ref reg (cname i) [ n (tyname a) ])
-    done
-  done;
-  for t = 0 to ntypes - 1 do
-    check (Registry.find_type reg (tyname t) = find_type_ref reg (tyname t))
-  done;
-  List.iter
-    (fun (name, ps, _) ->
-      let params = List.map (fun p -> n (tyname p)) ps in
-      check (Registry.find_ops reg name params = find_ops_ref reg name params))
-    w.w_ops;
-  check (Registry.find_concept reg "nope" = None);
-  check (Registry.find_type reg "nope" = None);
-  check (Registry.find_ops reg "zz" [] = []);
-  check (Registry.refines reg "nope" (cname 0) = refines_ref reg "nope" (cname 0));
-  !ok
+let concept_ref log name =
+  List.find_map
+    (function
+      | Lang.Iconcept c when String.equal c.Concept.name name -> Some c
+      | _ -> None)
+    log
+
+let type_ref log name =
+  List.fold_right
+    (fun item td ->
+      match item with
+      | Lang.Itype { name = m; assoc } when String.equal m name -> (
+        match td with
+        | None -> Some { Registry.td_name = name; td_assoc = assoc; td_doc = "" }
+        | Some td ->
+          let bound = td.Registry.td_assoc in
+          Some
+            { td with
+              Registry.td_assoc =
+                bound @ List.filter (fun (f, _) -> not (List.mem_assoc f bound)) assoc })
+      | _ -> td)
+    log None
+
+let args_equal a1 a2 =
+  List.length a1 = List.length a2 && List.for_all2 Ctype.equal a1 a2
+
+let model_ref log concept args =
+  List.find_map
+    (function
+      | Lang.Imodel m when String.equal m.concept concept && args_equal m.args args ->
+        Some
+          { Registry.mo_concept = concept; mo_args = m.args;
+            mo_axioms_asserted = m.axioms; mo_complexity = []; mo_doc = "" }
+      | _ -> None)
+    log
+
+let ops_ref log name params =
+  List.filter_map
+    (function
+      | Lang.Iop o when String.equal o.name name && args_equal o.params params ->
+        Some
+          { Concept.op_name = name; op_params = o.params; op_return = o.ret;
+            op_doc = "" }
+      | _ -> None)
+    log
+
+let refines_ref log a b =
+  let edges =
+    List.concat_map
+      (function
+        | Lang.Iconcept c ->
+          List.map (fun (r, _) -> (c.Concept.name, r)) c.Concept.refines
+        | _ -> [])
+      log
+  in
+  let rec go visited c =
+    String.equal c b
+    || (not (List.mem c visited))
+       && List.exists
+            (fun (x, y) -> String.equal x c && go (c :: visited) y)
+            edges
+  in
+  go [] a
+
+(* Load one item into [reg] and the log. A concept whose name the log
+   already holds must raise Duplicate and stay out of both. *)
+let load reg log item =
+  let duplicate =
+    match item with
+    | Lang.Iconcept c -> Option.is_some (concept_ref log c.Concept.name)
+    | _ -> false
+  in
+  match Lang.load_items reg [ item ] with
+  | () when duplicate -> failwith "a duplicate concept was accepted"
+  | () -> item :: log
+  | exception Registry.Duplicate _ when duplicate -> log
+  | exception Registry.Duplicate what -> failwith ("spurious Duplicate: " ^ what)
+
+let load_all reg log items = List.fold_left (load reg) log items
+
+let probe_ops =
+  let tys = List.init ntypes (fun i -> n (tyname i)) in
+  List.concat_map
+    (fun f ->
+      ((f, []) :: List.map (fun a -> (f, [ a ])) tys)
+      @ List.concat_map (fun a -> List.map (fun b -> (f, [ a; b ])) tys) tys)
+    [ "f"; "g"; "h"; "zz" ]
+
+(* Every lookup against the oracles; a root starts at generation 0 and
+   every accepted item bumps it once. *)
+let agrees_with_log log reg =
+  List.for_all (fun c -> Registry.find_concept reg c = concept_ref log c) cnames
+  && List.for_all (fun t -> Registry.find_type reg t = type_ref log t) tynames
+  && List.for_all
+       (fun c ->
+         List.for_all
+           (fun t -> Registry.find_model reg c [ n t ] = model_ref log c [ n t ])
+           tynames)
+       cnames
+  && List.for_all
+       (fun (f, ps) -> Registry.find_ops reg f ps = ops_ref log f ps)
+       probe_ops
+  && List.for_all
+       (fun a -> List.for_all (fun b -> Registry.refines reg a b = refines_ref log a b) cnames)
+       cnames
+  && Registry.generation reg = List.length log
+
+(* Everything a registry answers, as one comparable value. *)
+let observe reg =
+  let projections t =
+    [ Ctype.Assoc (n t, "elem"); Ctype.Assoc (n t, "key");
+      Ctype.Assoc (Ctype.Assoc (n t, "elem"), "key");
+      Ctype.App ("pair", [ n t; Ctype.Assoc (n t, "elem") ]) ]
+  in
+  ( ( List.map (Registry.find_concept reg) cnames,
+      List.map (Registry.find_type reg) tynames,
+      List.map (fun c -> List.map (fun t -> Registry.find_model reg c [ n t ]) tynames) cnames,
+      List.map (fun (f, ps) -> Registry.find_ops reg f ps) probe_ops ),
+    ( List.map (fun a -> List.map (Registry.refines reg a) cnames) cnames,
+      List.map (Registry.refinement_depth reg) cnames,
+      List.map (fun t -> List.map (Registry.resolve reg) (projections t)) tynames,
+      (Registry.generation reg, Registry.concepts reg, Registry.models reg) ) )
+
+(* Rendered Check.check reports in both modes, and closures. *)
+let reports reg =
+  List.concat_map
+    (fun c ->
+      List.concat_map
+        (fun t ->
+          List.map
+            (fun mode -> Fmt.str "%a" Check.pp_report (Check.check ~mode reg c [ n t ]))
+            [ Check.Structural; Check.Nominal ])
+        tynames)
+    cnames
+
+let closures reg =
+  List.map (fun c -> Propagate.closure reg c [ n (tyname 0) ]) cnames
 
 let closures_agree reg =
-  let idxs = List.init nconcepts (fun i -> i) in
   List.for_all
-    (fun i ->
-      Propagate.closure reg (cname i) [ n (tyname 0) ]
-      = Propagate.closure_reference reg (cname i) [ n (tyname 0) ])
-    idxs
+    (fun c ->
+      Propagate.closure reg c [ n (tyname 0) ]
+      = Propagate.closure_reference reg c [ n (tyname 0) ])
+    cnames
 
 let registry_equiv_prop =
   qtest
     (QCheck.Test.make
        ~name:"indexed registry lookups == list scans (random worlds)"
-       ~count:200
-       (QCheck.pair world_arb world_arb)
+       ~count:200 worlds2_arb
        (fun (w1, w2) ->
-         let reg = build_registry w1 in
-         registry_lookups_agree w1 reg
-         && begin
-              mutate_registry reg w2;
-              registry_lookups_agree w2 reg
-            end))
+         let reg = Registry.create () in
+         ignore
+           (List.fold_left
+              (fun log item ->
+                let log = load reg log item in
+                if not (agrees_with_log log reg) then failwith "lookup disagrees";
+                log)
+              [] (w1 @ w2));
+         true))
+
+(* Load [items] one at a time into [scope] and [fresh], which must
+   answer alike after every declaration. *)
+let load_in_step scope fresh log items =
+  List.fold_left
+    (fun log item ->
+      let log' = load scope log item in
+      ignore (load fresh log item);
+      if observe scope <> observe fresh then failwith "overlay and fresh registry differ";
+      log')
+    log items
+
+let overlay_equiv_prop =
+  qtest
+    (QCheck.Test.make
+       ~name:"overlay == fresh registry with the same items (interleaved)"
+       ~count:200 worlds3_arb
+       (fun (w1, w2, w3) ->
+         let parent = Registry.create () in
+         let log = load_all parent [] w1 in
+         let parent_before = observe parent in
+         let fresh = Registry.create () in
+         ignore (load_all fresh [] w1);
+         let scope = Registry.overlay parent in
+         let log = load_in_step scope fresh log w2 in
+         let scope_before = observe scope in
+         (* a scope nested in the scope *)
+         let inner = Registry.overlay scope in
+         let log = load_in_step inner fresh log w3 in
+         agrees_with_log log inner
+         && reports inner = reports fresh
+         && closures inner = closures fresh
+         && observe scope = scope_before
+         && observe parent = parent_before))
 
 let closure_equiv_prop =
   qtest
     (QCheck.Test.make
        ~name:"hashed worklist closure == quadratic reference" ~count:200
-       (QCheck.pair world_arb world_arb)
+       worlds2_arb
        (fun (w1, w2) ->
-         let reg = build_registry w1 in
+         let reg = Registry.create () in
+         let log = load_all reg [] w1 in
          closures_agree reg
-         && begin
-              mutate_registry reg w2;
-              closures_agree reg
-            end))
+         &&
+         let scope = Registry.overlay reg in
+         ignore (load_all scope log w2);
+         closures_agree scope))
 
 (* Telemetry transparency: checking and propagation return the same
    reports/observations with a sink installed (spans + counters
@@ -595,15 +660,97 @@ let telemetry_transparent_prop =
        ~name:"telemetry never changes check/closure results" ~count:100
        world_arb
        (fun w ->
-         let reg = build_registry w in
+         let reg = Registry.create () in
+         ignore (load_all reg [] w);
          let run () =
-           List.init nconcepts (fun i ->
-               ( Check.check reg (cname i) [ n (tyname 0) ],
-                 Propagate.closure reg (cname i) [ n (tyname 0) ] ))
+           List.map
+             (fun c ->
+               ( Check.check reg c [ n (tyname 0) ],
+                 Propagate.closure reg c [ n (tyname 0) ] ))
+             cnames
          in
          let off = run () in
          let on = Gp_telemetry.Tel.with_installed (fun _sink -> run ()) in
          off = on))
+
+(* The named overlay cases, on the library worlds. *)
+
+let concept_named name = Concept.make ~params:[ "T" ] name [ Concept.axiom "t" "true" ]
+
+let test_overlay_duplicate_parent_name () =
+  let parent = Registry.create () in
+  Gp_sequence.Decls.declare parent;
+  let g = Registry.generation parent in
+  let scope = Registry.overlay parent in
+  (match Registry.declare_concept scope (concept_named "ForwardIterator") with
+  | () -> Alcotest.fail "a parent's concept name must be a Duplicate"
+  | exception Registry.Duplicate what ->
+    Alcotest.(check string) "what" "concept ForwardIterator" what);
+  (match Registry.declare_type scope "vector<int>" with
+  | () -> Alcotest.fail "a parent's type name must be a Duplicate"
+  | exception Registry.Duplicate _ -> ());
+  Alcotest.(check int) "scope generation unchanged" g (Registry.generation scope);
+  Alcotest.(check int) "parent generation unchanged" g (Registry.generation parent)
+
+let test_overlay_shadows_parent_type () =
+  let parent = Registry.create () in
+  Registry.declare_type parent "x" ~assoc:[ ("elem", n "int") ];
+  let g = Registry.generation parent in
+  let scope = Registry.overlay parent in
+  Lang.load_string scope {|type x { elem = float; key = string; }|};
+  let assoc r =
+    Option.map (fun td -> td.Registry.td_assoc) (Registry.find_type r "x")
+  in
+  Alcotest.(check bool) "scope sees the extension, old bindings first" true
+    (assoc scope = Some [ ("elem", n "int"); ("key", n "string") ]);
+  Alcotest.(check bool) "parent keeps its description" true
+    (assoc parent = Some [ ("elem", n "int") ]);
+  Alcotest.(check int) "parent generation unchanged" g (Registry.generation parent);
+  Alcotest.(check int) "scope generation = parent + 1" (g + 1)
+    (Registry.generation scope);
+  Alcotest.(check bool) "resolve through the shadow" true
+    (Registry.resolve scope (Ctype.Assoc (n "x", "key")) = Some (n "string")
+    && Registry.resolve parent (Ctype.Assoc (n "x", "key")) = None)
+
+let test_overlay_refines_across_layers () =
+  let parent = Registry.create () in
+  Gp_sequence.Decls.declare parent;
+  let scope = Registry.overlay parent in
+  Registry.declare_concept scope
+    (Concept.make ~params:[ "T" ]
+       ~refines:[ ("RandomAccessIterator", [ v "T" ]) ]
+       "ContiguousIterator" [ Concept.axiom "t" "true" ]);
+  Alcotest.(check bool) "local -> parent -> grandparent concept" true
+    (Registry.refines scope "ContiguousIterator" "InputIterator");
+  Alcotest.(check bool) "invisible from the parent" false
+    (Registry.refines parent "ContiguousIterator" "InputIterator");
+  Alcotest.(check int) "depth counts the parent chain"
+    (1 + Registry.refinement_depth parent "RandomAccessIterator")
+    (Registry.refinement_depth scope "ContiguousIterator")
+
+(* Declaring into and querying a scope builds no index: the scope
+   reads the parent's, which is the point of sharing the parent. *)
+let test_overlay_shares_parent_index () =
+  let parent = Registry.create () in
+  Gp_sequence.Decls.declare parent;
+  let rebuilds =
+    Gp_telemetry.Tel.with_installed (fun sink ->
+        for i = 1 to 20 do
+          let scope = Registry.overlay parent in
+          Lang.load_string scope
+            (Printf.sprintf
+               "concept Local%d<T> refines ForwardIterator<T> { }\n\
+                type \"vector<int>::iterator\" { tag%d = int; }\n\
+                model Local%d<\"vector<int>::iterator\">;"
+               i i i);
+          ignore
+            (Check.check scope (Printf.sprintf "Local%d" i)
+               [ n "vector<int>::iterator" ])
+        done;
+        Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics
+          "gp_registry_index_rebuilds_total")
+  in
+  Alcotest.(check (float 0.0)) "no index rebuilds" 0.0 rebuilds
 
 (* ------------------------------------------------------------------ *)
 (* Archetypes                                                          *)
@@ -938,6 +1085,18 @@ let () =
       ("registry index",
         [ registry_equiv_prop; closure_equiv_prop;
           telemetry_transparent_prop ]);
+      ( "overlay",
+        [
+          overlay_equiv_prop;
+          Alcotest.test_case "duplicate of a parent name" `Quick
+            test_overlay_duplicate_parent_name;
+          Alcotest.test_case "shadows a parent type" `Quick
+            test_overlay_shadows_parent_type;
+          Alcotest.test_case "refines across layers" `Quick
+            test_overlay_refines_across_layers;
+          Alcotest.test_case "shares the parent's index" `Quick
+            test_overlay_shares_parent_index;
+        ] );
       ( "archetype",
         [
           Alcotest.test_case "models own concept" `Quick

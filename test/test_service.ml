@@ -778,8 +778,8 @@ let test_registry_generation () =
   Alcotest.(check bool) "declaration bumps the generation" true
     (Registry.generation reg > g0);
   let g1 = Registry.generation reg in
-  Registry.touch reg;
-  Alcotest.(check int) "touch bumps by one" (g1 + 1) (Registry.generation reg)
+  Registry.extend_type reg "gen_probe" [ ("elem", Ctype.Named "int") ];
+  Alcotest.(check int) "extend_type bumps by one" (g1 + 1) (Registry.generation reg)
 
 let test_request_key_tracks_generation () =
   let open Gp_concepts in
@@ -789,9 +789,115 @@ let test_request_key_tracks_generation () =
   let k1 = Propagate.request_key reg "Container" args in
   Alcotest.(check string) "stable while the registry is unchanged" k1
     (Propagate.request_key reg "Container" args);
-  Registry.touch reg;
-  Alcotest.(check bool) "any mutation changes the key" true
+  Registry.declare_op reg "key_probe" [] (Ctype.Named "int");
+  Alcotest.(check bool) "any declaration changes the key" true
     (k1 <> Propagate.request_key reg "Container" args)
+
+(* ------------------------------------------------------------------ *)
+(* Check-with-defs sandboxes: overlays over the shared world           *)
+(* ------------------------------------------------------------------ *)
+
+(* Sandbox defs covering the overlay's corner cases, plus the workload's
+   own check-with-defs stream: re-declaring a standard type extends it
+   in the sandbox only, a local concept refines a standard one, and a
+   concept named like a standard one is a duplicate. *)
+let sandbox_requests () =
+  let check ?(nominal = false) concept types defs =
+    Request.Check { concept; types; nominal; defs = Some defs }
+  in
+  let iter = "vector<int>::iterator" in
+  [ check "Tagged" [ iter ]
+      {|concept Tagged<T> { type tag; tagof : T -> T.tag; }
+        type "vector<int>::iterator" { tag = int; }
+        op tagof : "vector<int>::iterator" -> int;|};
+    check "Tagged" [ iter ]
+      {|concept Tagged<T> { type tag; tagof : T -> T.tag; }
+        type "vector<int>::iterator" { tag = bool; }
+        op tagof : "vector<int>::iterator" -> int;|};
+    check ~nominal:true "Contiguous" [ iter ]
+      {|concept Contiguous<I> refines RandomAccessIterator<I> { }
+        model Contiguous<"vector<int>::iterator">;|};
+    check ~nominal:true "Contiguous" [ "list<int>::iterator" ]
+      {|concept Contiguous<I> refines RandomAccessIterator<I> { }
+        model Contiguous<"list<int>::iterator">;|};
+    check "ForwardIterator" [ iter ] {|concept ForwardIterator<I> { }|};
+    check "RandomAccessIterator" [ iter ] {|type "vector<int>::iterator" { }|} ]
+  @ List.filter
+      (function Request.Check { defs = Some _; _ } -> true | _ -> false)
+      (Workload.generate ~mix:[ (Request.Kcheck, 1) ] ~keyspace:400 ~seed:5
+         ~n:200 ())
+
+(* The seed path, rebuilt here: a fresh registry holding the standard
+   world and then the defs, checked, and charged the dispatcher's
+   budget (defs parsed uncached, loaded, checked). *)
+let seed_path_response (served : Request.response) = function
+  | Request.Check { concept; types; nominal; defs = Some defs } ->
+    let open Gp_concepts in
+    let items = Lang.parse_string defs in
+    let parse_steps = 1 + (2 * List.length items) in
+    let reg = Registry.create () in
+    declare_standard reg;
+    let result, steps =
+      match Lang.load_items reg items with
+      | exception Registry.Duplicate what ->
+        ( Error
+            { Request.code = Request.Parse_failure;
+              detail = "duplicate declaration of " ^ what },
+          parse_steps )
+      | () ->
+        let mode = if nominal then Check.Nominal else Check.Structural in
+        let report =
+          Check.check ~mode reg concept (List.map (fun t -> Ctype.Named t) types)
+        in
+        let failures = List.length report.Check.rep_failures
+        and warnings = List.length report.Check.rep_warnings in
+        ( Ok
+            (Request.Checked
+               { ok = Check.ok report; failures; warnings;
+                 report = Fmt.str "%a" Check.pp_report report }),
+          parse_steps + 5 + failures + warnings )
+    in
+    { Request.rsp_id = served.Request.rsp_id; rsp_kind = Some Request.Kcheck;
+      rsp_result = result; rsp_cached = false; rsp_steps = steps }
+  | _ -> invalid_arg "seed_path_response: not a check with defs"
+
+let test_sandbox_matches_seed_path () =
+  let server = mkserver ~config:{ Server.default_config with caching = false } () in
+  let reqs = sandbox_requests () in
+  Alcotest.(check bool) "workload contributes sandboxes" true (List.length reqs > 20);
+  let outcomes = Hashtbl.create 4 in
+  List.iter
+    (fun req ->
+      let served = Server.handle server req in
+      let expected = seed_path_response served req in
+      Hashtbl.replace outcomes (code_name served) ();
+      Alcotest.(check string) "response line" (Wire.response_to_line expected)
+        (Wire.response_to_line served);
+      Alcotest.(check string) "response fingerprint"
+        (Request.response_fingerprint expected)
+        (Request.response_fingerprint served))
+    reqs;
+  Alcotest.(check bool) "answers and duplicates both pinned" true
+    (Hashtbl.mem outcomes "ok" && Hashtbl.mem outcomes "parse-failure")
+
+(* The shared world is never declared into, and no sandbox builds an
+   index of its own, however many are served. *)
+let test_sandbox_leaves_world_untouched () =
+  let server = mkserver () in
+  let world = Server.registry server in
+  let g = Gp_concepts.Registry.generation world in
+  let reqs = Array.of_list (sandbox_requests ()) in
+  let rebuilds =
+    Gp_telemetry.Tel.with_installed (fun sink ->
+        for i = 0 to 99 do
+          ignore (Server.handle server reqs.(i mod Array.length reqs))
+        done;
+        Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics
+          "gp_registry_index_rebuilds_total")
+  in
+  Alcotest.(check int) "world generation unchanged" g
+    (Gp_concepts.Registry.generation world);
+  Alcotest.(check (float 0.0)) "no index rebuilds" 0.0 rebuilds
 
 (* A served closure must track registry mutations: the generation-keyed
    request key prevents the LRU from ever serving an answer computed
@@ -1215,4 +1321,9 @@ let () =
           Alcotest.test_case "request_key tracks generation" `Quick
             test_request_key_tracks_generation;
           Alcotest.test_case "served closure tracks mutations" `Quick
-            test_closure_tracks_registry_mutation ] ) ]
+            test_closure_tracks_registry_mutation ] );
+      ( "sandbox",
+        [ Alcotest.test_case "check-with-defs = seed path" `Quick
+            test_sandbox_matches_seed_path;
+          Alcotest.test_case "world untouched after 100 sandboxes" `Quick
+            test_sandbox_leaves_world_untouched ] ) ]
