@@ -71,3 +71,10 @@ val axiom_certified : concept:string -> axiom:string -> args:Ctype.t list -> boo
 val pp_failure : Format.formatter -> failure -> unit
 val pp_warning : Format.formatter -> warning -> unit
 val pp_report : Format.formatter -> report -> unit
+(** For people: the CLI and examples print reports with it, and the tests
+    hold {!add_report} to it byte for byte. *)
+
+val add_report : Buffer.t -> report -> unit
+(** Append exactly the text [Fmt.str "%a" pp_report r] builds, line
+    breaks and indentation included, without [Format]. The served check
+    path renders reports with it. *)

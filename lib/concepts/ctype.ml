@@ -45,7 +45,44 @@ let rec pp ppf = function
   | Assoc (t, field) -> Fmt.pf ppf "%a.%s" pp t field
   | App (f, args) -> Fmt.pf ppf "%s<%a>" f Fmt.(list ~sep:comma pp) args
 
-let to_string t = Fmt.str "%a" pp t
+(* The same text [pp] prints, written straight into a buffer. [pp]'s
+   argument separator is a Format break: on one line it prints as a
+   space; inside a vertical box it always breaks, which [break_indent]
+   reproduces as a newline and that many spaces. *)
+let rec add_to_buffer ?break_indent buf = function
+  | Named s -> Buffer.add_string buf s
+  | Var s ->
+    Buffer.add_char buf '\'';
+    Buffer.add_string buf s
+  | Assoc (t, field) ->
+    add_to_buffer ?break_indent buf t;
+    Buffer.add_char buf '.';
+    Buffer.add_string buf field
+  | App (f, args) ->
+    Buffer.add_string buf f;
+    Buffer.add_char buf '<';
+    add_list_to_buffer ?break_indent buf args;
+    Buffer.add_char buf '>'
+
+and add_list_to_buffer ?break_indent buf = function
+  | [] -> ()
+  | [ a ] -> add_to_buffer ?break_indent buf a
+  | a :: rest ->
+    add_to_buffer ?break_indent buf a;
+    Buffer.add_char buf ',';
+    (match break_indent with
+    | None -> Buffer.add_char buf ' '
+    | Some n ->
+      Buffer.add_char buf '\n';
+      for _ = 1 to n do Buffer.add_char buf ' ' done);
+    add_list_to_buffer ?break_indent buf rest
+
+let to_string = function
+  | Named s -> s
+  | t ->
+    let buf = Buffer.create 32 in
+    add_to_buffer buf t;
+    Buffer.contents buf
 
 (* Substitute concept parameters by actual types. *)
 let rec subst env t =

@@ -171,9 +171,21 @@ let closure_reference ?max_depth reg concept args =
    counter stands in for the lookup function: any declaration bumps it, so
    a stale closure can never be served after the world changes. *)
 let request_key ?(max_depth = 8) reg concept args =
-  Printf.sprintf "closure|g%d|d%d|%s<%s>" (Registry.generation reg) max_depth
-    concept
-    (String.concat "," (List.map Ctype.to_string args))
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf "closure|g";
+  Buffer.add_string buf (string_of_int (Registry.generation reg));
+  Buffer.add_string buf "|d";
+  Buffer.add_string buf (string_of_int max_depth);
+  Buffer.add_char buf '|';
+  Buffer.add_string buf concept;
+  Buffer.add_char buf '<';
+  List.iteri
+    (fun i a ->
+      if i > 0 then Buffer.add_char buf ',';
+      Ctype.add_to_buffer buf a)
+    args;
+  Buffer.add_char buf '>';
+  Buffer.contents buf
 
 (* Number of constraints the programmer writes with propagation: just the
    root constraint. *)

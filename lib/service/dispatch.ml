@@ -20,7 +20,7 @@ type caches = {
   cert : Gp_simplicissimus.Certify.certification list Lru.t;
       (* certified rewrite rules *)
   proofs : (string * bool) list Lru.t; (* checked proof instantiations *)
-  rewrites : Gp_simplicissimus.Engine.result Lru.t; (* normal forms by expr *)
+  rewrites : Request.payload Lru.t; (* Optimized payloads by expr text *)
   numerics : Request.payload Lru.t; (* Computed payloads by (op,triple) *)
 }
 
@@ -73,6 +73,7 @@ type t = {
   rules : Gp_simplicissimus.Rules.t list;
   select : Gp_structla.Select.t; (* the three numeric overload generics *)
   caches : caches;
+  scratch : Buffer.t; (* reused for cache keys and check reports *)
 }
 
 let create ~declare_standard ~cache_capacity () =
@@ -84,7 +85,8 @@ let create ~declare_standard ~cache_capacity () =
       Gp_simplicissimus.Rules.builtin
       @ [ Gp_simplicissimus.Rules.lidia_inverse ];
     select = Gp_structla.Select.create ();
-    caches = create_caches ~capacity:cache_capacity }
+    caches = create_caches ~capacity:cache_capacity;
+    scratch = Buffer.create 256 }
 
 let registry t = t.registry
 let caches t = t.caches
@@ -154,7 +156,10 @@ let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
            { ok = Check.ok report;
              failures = List.length report.Check.rep_failures;
              warnings = List.length report.Check.rep_warnings;
-             report = Fmt.str "%a" Check.pp_report report }),
+             report =
+               (Buffer.clear t.scratch;
+                Check.add_report t.scratch report;
+                Buffer.contents t.scratch) }),
       hit )
 
 let handle_parse t ~caching ~budget ~source =
@@ -202,30 +207,34 @@ let handle_optimize t ~caching ~budget ~expr ~certified_only =
     (* Certification is the expensive stage; the engine's only_certified
        mode reads the verdicts the certifier stamped on the rules. *)
     let _, cert_hit = certifications t ~caching ~budget in
-    let key =
-      (if certified_only then "rw|true|" else "rw|false|")
-      ^ Digest.to_hex (Digest.string (Expr.to_string e))
-    in
+    Buffer.clear t.scratch;
+    Buffer.add_string t.scratch
+      (if certified_only then "rw|true|" else "rw|false|");
+    Expr.add_to_buffer t.scratch e;
+    let key = Buffer.contents t.scratch in
     match
       Lru.find_or_compute t.caches.rewrites ~enabled:caching key (fun () ->
-          Engine.rewrite ~only_certified:certified_only ~rules:t.rules
-            ~insts:t.insts e)
+          let r =
+            Engine.rewrite ~only_certified:certified_only ~rules:t.rules
+              ~insts:t.insts e
+          in
+          Request.Optimized
+            { output = Expr.to_string r.Engine.output;
+              steps = List.length r.Engine.steps;
+              ops_before = r.Engine.ops_before;
+              ops_after = r.Engine.ops_after })
     with
-    | r, hit ->
-      Budget.spend budget (1 + List.length r.Engine.steps);
-      ( Ok
-          (Request.Optimized
-             { output = Expr.to_string r.Engine.output;
-               steps = List.length r.Engine.steps;
-               ops_before = r.Engine.ops_before;
-               ops_after = r.Engine.ops_after }),
-        hit && cert_hit )
+    | (Request.Optimized { steps; _ } as payload), hit ->
+      Budget.spend budget (1 + steps);
+      (Ok payload, hit && cert_hit)
+    | _, _ -> assert false (* the rewrites cache only ever stores [Optimized] *)
     | exception Engine.Did_not_terminate _ ->
       (err Request.Over_budget "rewriting exceeded its step budget", false))
 
 (* The prove tables mirror bin/gp's prove command: a theory names its
-   instance mappings, per-instance axioms, and theorem builders. *)
-let prove_plan theory instance =
+   instance mappings, per-instance axioms, and theorem builders. A known
+   theory yields its plan builder, so a cache hit never builds one. *)
+let theory_plan theory =
   let open Gp_athena in
   let for_lts lts theorems axioms_of =
     List.map
@@ -235,97 +244,112 @@ let prove_plan theory instance =
           List.map (fun f -> f ~lt) theorems ))
       lts
   in
-  let plan =
-    match theory with
-    | "swo" ->
-      Some
-        (for_lts [ "int_lt"; "string_lt" ]
-           [ Theorems.swo_e_reflexive; Theorems.swo_e_symmetric;
-             Theorems.swo_e_transitive; Theorems.swo_asymmetric ]
-           (fun lt -> Theory.strict_weak_order ~lt))
-    | "orders" ->
-      Some
-        (List.map
-           (fun leq ->
-             ( leq,
-               Theory.total_order ~leq,
-               List.map
-                 (fun f -> f ~leq)
-                 [ Theorems.strict_irreflexive; Theorems.strict_transitive;
-                   Theorems.strict_equiv_transitive ] ))
-           [ "int_le"; "string_le"; "rational_le" ])
-    | "monoid" ->
-      Some
-        (List.map
-           (fun m ->
-             ( Theory.map_name m,
-               Theory.monoid m,
-               List.map
-                 (fun f -> f m)
-                 [ Theorems.monoid_right_identity;
-                   Theorems.monoid_identity_unique ] ))
-           Theory.monoid_instances)
-    | "group" ->
-      Some
-        (List.map
-           (fun m ->
-             ( Theory.map_name m,
-               Theory.group_minimal m,
-               List.map
-                 (fun f -> f m)
-                 [ Theorems.group_right_inverse; Theorems.group_right_identity;
-                   Theorems.group_double_inverse;
-                   Theorems.group_left_cancellation ] ))
-           Theory.group_instances)
-    | "ring" ->
-      let rm =
-        { Theory.r_name = "int"; add = Theory.int_add; mul = Theory.int_mul }
-      in
-      Some
+  match theory with
+  | "swo" ->
+    Some
+      (fun () ->
+        for_lts [ "int_lt"; "string_lt" ]
+          [ Theorems.swo_e_reflexive; Theorems.swo_e_symmetric;
+            Theorems.swo_e_transitive; Theorems.swo_asymmetric ]
+          (fun lt -> Theory.strict_weak_order ~lt))
+  | "orders" ->
+    Some
+      (fun () ->
+        List.map
+          (fun leq ->
+            ( leq,
+              Theory.total_order ~leq,
+              List.map
+                (fun f -> f ~leq)
+                [ Theorems.strict_irreflexive; Theorems.strict_transitive;
+                  Theorems.strict_equiv_transitive ] ))
+          [ "int_le"; "string_le"; "rational_le" ])
+  | "monoid" ->
+    Some
+      (fun () ->
+        List.map
+          (fun m ->
+            ( Theory.map_name m,
+              Theory.monoid m,
+              List.map
+                (fun f -> f m)
+                [ Theorems.monoid_right_identity;
+                  Theorems.monoid_identity_unique ] ))
+          Theory.monoid_instances)
+  | "group" ->
+    Some
+      (fun () ->
+        List.map
+          (fun m ->
+            ( Theory.map_name m,
+              Theory.group_minimal m,
+              List.map
+                (fun f -> f m)
+                [ Theorems.group_right_inverse; Theorems.group_right_identity;
+                  Theorems.group_double_inverse;
+                  Theorems.group_left_cancellation ] ))
+          Theory.group_instances)
+  | "ring" ->
+    Some
+      (fun () ->
+        let rm =
+          { Theory.r_name = "int"; add = Theory.int_add; mul = Theory.int_mul }
+        in
         [ ( "int",
             Theory.ring rm,
             List.map
               (fun f -> f rm)
-              [ Theorems.ring_mul_zero; Theorems.ring_zero_mul ] ) ]
-    | _ -> None
-  in
-  match plan with
-  | None -> Error ("unknown theory " ^ theory)
-  | Some all -> (
-    match instance with
-    | None -> Ok all
-    | Some name -> (
-      match List.filter (fun (n, _, _) -> n = name) all with
-      | [] ->
-        Error
-          (Printf.sprintf "theory %s has no instance %s (have: %s)" theory
-             name
-             (String.concat ", " (List.map (fun (n, _, _) -> n) all)))
-      | some -> Ok some))
+              [ Theorems.ring_mul_zero; Theorems.ring_zero_mul ] ) ])
+  | _ -> None
+
+let select_instance theory instance all =
+  match instance with
+  | None -> Ok all
+  | Some name -> (
+    match List.filter (fun (n, _, _) -> n = name) all with
+    | [] ->
+      Error
+        (Printf.sprintf "theory %s has no instance %s (have: %s)" theory name
+           (String.concat ", " (List.map (fun (n, _, _) -> n) all)))
+    | some -> Ok some)
+
+let verify_plan ~budget plan () =
+  let open Gp_athena in
+  List.concat_map
+    (fun (iname, axioms, theorems) ->
+      List.map
+        (fun (thm : Theorems.theorem) ->
+          (* proof checking is the expensive stage: charge per theorem
+             before running the checker *)
+          Budget.spend budget 25;
+          ( iname ^ "/" ^ thm.Theorems.thm_name,
+            Theorems.verify ~axioms thm = Deduction.Proved ))
+        theorems)
+    plan
 
 let handle_prove t ~caching ~budget ~theory ~instance =
-  let open Gp_athena in
-  match prove_plan theory instance with
-  | Error detail -> (err Request.Unknown_name detail, false)
-  | Ok plan -> (
+  match theory_plan theory with
+  | None -> (err Request.Unknown_name ("unknown theory " ^ theory), false)
+  | Some build -> (
     let key =
       "prove|" ^ theory ^ "|" ^ Option.value ~default:"*" instance
     in
-    match
-      Lru.find_or_compute t.caches.proofs ~enabled:caching key (fun () ->
-          List.concat_map
-            (fun (iname, axioms, theorems) ->
-              List.map
-                (fun (thm : Theorems.theorem) ->
-                  (* proof checking is the expensive stage: charge per
-                     theorem before running the checker *)
-                  Budget.spend budget 25;
-                  ( iname ^ "/" ^ thm.Theorems.thm_name,
-                    Theorems.verify ~axioms thm = Deduction.Proved ))
-                theorems)
-            plan)
-    with
-    | verdicts, hit ->
+    (* Only a valid instance's verdicts are ever stored, so a stored key
+       needs no plan: probe before building one. *)
+    let verdicts =
+      if caching && Lru.mem t.caches.proofs key then
+        Ok (Lru.find_or_compute t.caches.proofs ~enabled:true key
+              (verify_plan ~budget []))
+      else
+        Result.map
+          (fun plan ->
+            Lru.find_or_compute t.caches.proofs ~enabled:caching key
+              (verify_plan ~budget plan))
+          (select_instance theory instance (build ()))
+    in
+    match verdicts with
+    | Error detail -> (err Request.Unknown_name detail, false)
+    | Ok (verdicts, hit) ->
       Budget.spend budget 1;
       let failed = List.length (List.filter (fun (_, ok) -> not ok) verdicts) in
       (Ok (Request.Proved { checked = List.length verdicts; failed }), hit))

@@ -78,6 +78,43 @@ let rec pp ppf = function
 
 let to_string e = Fmt.str "%a" pp e
 
+(* [pp]'s text with every break printed as a space, written without
+   Format. [to_string] may break the line between the operands of an
+   n-ary operation instead; otherwise the two are the same string, so
+   this tells expressions apart exactly as [to_string] does. Literals
+   the parser cannot produce (rationals, matrices) still go through
+   [pp_value]. *)
+let rec add_to_buffer buf = function
+  | Var (x, _) -> Buffer.add_string buf x
+  | Lit (VInt i) -> Buffer.add_string buf (string_of_int i)
+  | Lit (VFloat f) -> Printf.bprintf buf "%g" f
+  | Lit (VBool b) -> Buffer.add_string buf (string_of_bool b)
+  | Lit (VString s) -> Printf.bprintf buf "%S" s
+  | Lit ((VRat _ | VMat _) as v) -> Buffer.add_string buf (Fmt.str "%a" pp_value v)
+  | Ident (ty, op) ->
+    Buffer.add_string buf "id<";
+    Buffer.add_string buf ty;
+    Buffer.add_char buf ',';
+    Buffer.add_string buf op;
+    Buffer.add_char buf '>'
+  | Op (op, _, [ a; b ]) ->
+    Buffer.add_char buf '(';
+    add_to_buffer buf a;
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf op;
+    Buffer.add_char buf ' ';
+    add_to_buffer buf b;
+    Buffer.add_char buf ')'
+  | Op (op, _, args) ->
+    Buffer.add_string buf op;
+    Buffer.add_char buf '(';
+    List.iteri
+      (fun i a ->
+        if i > 0 then Buffer.add_string buf ", ";
+        add_to_buffer buf a)
+      args;
+    Buffer.add_char buf ')'
+
 (* Node count — the size measure reduced by simplification. *)
 let rec size = function
   | Var _ | Lit _ | Ident _ -> 1

@@ -28,6 +28,13 @@ val pp_value : Format.formatter -> value -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!pp}'s text laid out on one line, without [Format].
+    {!to_string} prints the same text except that it may break the line
+    between the operands of an n-ary operation. Two expressions get the
+    same text exactly when they get the same {!to_string}, so it serves
+    as a cache key. *)
+
 val size : t -> int
 (** Node count. *)
 

@@ -70,11 +70,16 @@ let qualifies_slowest t dur =
   && (List.length t.slow < t.slowest_k
      || match t.slow with m :: _ -> dur > m | [] -> true)
 
+(* A duration that does not qualify would be inserted and dropped again
+   (it is no larger than the smallest kept), so only qualifying ones
+   pay for the sort. *)
 let note_slow t dur =
-  if t.slowest_k > 0 then begin
+  if qualifies_slowest t dur then begin
     let l = List.sort Float.compare (dur :: t.slow) in
     t.slow <- (if List.length l > t.slowest_k then List.tl l else l)
   end
+
+let slowest t = t.slow
 
 (* Will a dossier with this outcome and duration keep its heavyweight
    payload? Exposed so the filler can skip assembling spans and metric
@@ -88,7 +93,7 @@ let record t d =
   in
   note_slow t d.do_dur_ns;
   let d =
-    if interesting then d
+    if interesting || (d.do_spans = [] && d.do_metric_deltas = []) then d
     else { d with do_spans = []; do_metric_deltas = [] }
   in
   t.ring.(t.recorded mod t.capacity) <- d;

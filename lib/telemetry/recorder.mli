@@ -54,6 +54,10 @@ val wants_payload : t -> ok:bool -> dur_ns:float -> bool
     this outcome and duration? Lets the filler skip assembling spans
     and metric deltas that would only be stripped. *)
 
+val slowest : t -> float list
+(** The up-to-k largest durations recorded so far, ascending: the ranks
+    {!wants_payload} compares against. *)
+
 val dossiers : t -> dossier list
 (** Retained dossiers, oldest first. *)
 

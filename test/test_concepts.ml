@@ -1030,6 +1030,346 @@ let complexity_order_laws =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Direct writers: Ctype text and check reports without Format        *)
+(* ------------------------------------------------------------------ *)
+
+(* Types over identifier names, so that printing is injective. *)
+let ctype_gen =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b"; "int"; "elem" ] in
+  sized_size (int_range 0 3)
+  @@ fix (fun self d ->
+         if d = 0 then oneof [ map n name; map v name ]
+         else
+           frequency
+             [ (2, map n name); (1, map v name);
+               (2, map2 (fun t f -> Ctype.Assoc (t, f)) (self (d - 1)) name);
+               ( 3,
+                 map2
+                   (fun f args -> Ctype.App (f, args))
+                   (oneofl [ "pair"; "list" ])
+                   (list_size (int_range 0 3) (self (d - 1))) ) ])
+
+let ctype_arb = QCheck.make ~print:Ctype.to_string ctype_gen
+
+let ctype_text_equal_prop =
+  qtest
+    (QCheck.Test.make ~name:"Ctype.to_string equal <=> Ctype.equal"
+       ~count:1000
+       (QCheck.pair ctype_arb ctype_arb)
+       (fun (a, b) ->
+         Bool.equal
+           (String.equal (Ctype.to_string a) (Ctype.to_string b))
+           (Ctype.equal a b)
+         && String.equal (Ctype.to_string a) (Ctype.to_string (Ctype.subst [] a))))
+
+(* Laid out on one line: in a horizontal box every break is a space.
+   (Bare [Fmt.str "%a" Ctype.pp] breaks the line at an argument
+   separator whose size Format has not yet measured when it flushes.) *)
+let ctype_text_is_pp_prop =
+  qtest
+    (QCheck.Test.make ~name:"Ctype.to_string = Fmt.str pp on one-line types"
+       ~count:1000 ctype_arb (fun t ->
+         String.equal (Fmt.str "%a" (Fmt.hbox Ctype.pp) t) (Ctype.to_string t)))
+
+let written r =
+  let buf = Buffer.create 128 in
+  Check.add_report buf r;
+  Buffer.contents buf
+
+let check_written r =
+  let expected = Fmt.str "%a" Check.pp_report r in
+  if not (String.equal expected (written r)) then
+    QCheck.Test.fail_reportf "pp_report:@.%s@.add_report:@.%s" expected
+      (written r);
+  true
+
+(* Every type name the standard world's models mention, closed under
+   associated-type bindings, and one name nothing declares. *)
+let standard_type_names reg =
+  let seen = Hashtbl.create 64 in
+  let rec visit = function
+    | Ctype.Named name when not (Hashtbl.mem seen name) ->
+      Hashtbl.add seen name ();
+      Option.iter
+        (fun td -> List.iter (fun (_, t) -> visit t) td.Registry.td_assoc)
+        (Registry.find_type reg name)
+    | Ctype.Named _ | Ctype.Var _ -> ()
+    | Ctype.Assoc (t, _) -> visit t
+    | Ctype.App (_, args) -> List.iter visit args
+  in
+  List.iter (fun m -> List.iter visit m.Registry.mo_args) (Registry.models reg);
+  "no_such_type"
+  :: List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])
+
+(* Exhaustive over the standard world: each concept against every
+   tuple of type names of its arity, in both modes. *)
+let test_report_writer_standard_world () =
+  let reg = Registry.create () in
+  Gp_algebra.Decls.declare reg;
+  Gp_sequence.Decls.declare reg;
+  Gp_graph.Decls.declare reg;
+  Gp_linalg.Decls.declare reg;
+  Gp_structla.Decls.declare reg;
+  let names = List.map n (standard_type_names reg) in
+  Alcotest.(check bool) "the world names types" true (List.length names > 40);
+  let rec tuples k =
+    if k = 0 then [ [] ]
+    else List.concat_map (fun t -> List.map (fun rest -> t :: rest) (tuples (k - 1))) names
+  in
+  let failing = ref 0 and multi = ref 0 in
+  List.iter
+    (fun (c : Concept.t) ->
+      List.iter
+        (fun args ->
+          List.iter
+            (fun mode ->
+              let r = Check.check ~mode reg c.Concept.name args in
+              if not (Check.ok r) then incr failing;
+              if List.length args > 1 then incr multi;
+              Alcotest.(check string)
+                (Printf.sprintf "%s<%s>" c.Concept.name
+                   (String.concat "," (List.map Ctype.to_string args)))
+                (Fmt.str "%a" Check.pp_report r) (written r))
+            [ Check.Structural; Check.Nominal ])
+        (tuples (List.length c.Concept.params)))
+    (Registry.concepts reg);
+  Alcotest.(check bool) "failing and multi-argument reports covered" true
+    (!failing > 0 && !multi > 0)
+
+(* Random worlds built to reach the checker's failures: one- and
+   two-parameter concepts refining and requiring each other (undeclared
+   and wrong-arity names included), associated types, same-type
+   constraints, operations over [pair<_, _>], axioms and complexity
+   guarantees; models asserting axioms or declaring a complexity. *)
+let rcnames = [ "D0"; "D1"; "D2"; "D3"; "nope" ]
+let rtynames = [ "a"; "b"; "c" ]
+
+let report_world_gen =
+  let open QCheck.Gen in
+  let t = v "T" and u = v "U" in
+  let ground = map n (oneofl rtynames) in
+  let concept =
+    int_range 0 3 >>= fun i ->
+    oneofl [ [ "T" ]; [ "T"; "U" ] ] >>= fun params ->
+    let tvars = if List.length params = 2 then [ t; u ] else [ t ] in
+    let arg =
+      oneof
+        [ oneofl tvars; ground;
+          map (fun x -> Ctype.App ("pair", [ t; x ])) (oneofl (u :: tvars));
+          return (Ctype.Assoc (t, "elem")) ]
+    in
+    (* The checker guards cycles only along the current path, so D_i
+       refines and requires only D_j with j < i (and the undeclared
+       "nope"), with arguments from a finite set: the search stays small
+       and always ends. *)
+    let below = oneofl ("nope" :: List.filteri (fun j _ -> j < i) rcnames) in
+    let args = list_size (int_range 1 2) (oneof [ oneofl tvars; ground ]) in
+    list_size (int_range 0 1) (pair below args) >>= fun refines ->
+    list_size (int_range 0 3)
+      (oneof
+         [ map2 (fun c a -> Concept.Constraint (Concept.Models (c, a)))
+             below args;
+           map (fun x -> Concept.Constraint (Concept.Same_type (Ctype.Assoc (t, "elem"), x))) arg;
+           map (fun f -> Concept.assoc_type f) (oneofl [ "elem"; "key" ]);
+           map
+             (fun c -> Concept.assoc_type "elem" ~constraints:[ Concept.Models (c, [ Ctype.Assoc (t, "elem") ]) ])
+             below;
+           map3 (fun f ps r -> Concept.signature f ps r) (oneofl [ "f"; "g" ])
+             (list_size (int_range 0 2) arg) arg;
+           return (Concept.signature "h" [ Ctype.Assoc (t, "missing") ] t);
+           return (Concept.axiom "ax" "true");
+           map (fun b -> Concept.complexity "f" b)
+             (oneofl [ Complexity.constant; Complexity.linear "n" ]) ])
+    >|= fun reqs ->
+    Lang.Iconcept (Concept.make ~params ~refines (List.nth rcnames i) reqs)
+  in
+  let tydecl =
+    oneofl rtynames >>= fun name ->
+    list_size (int_range 0 2)
+      (pair (oneofl [ "elem"; "key" ])
+         (oneof [ ground; map (fun g -> Ctype.App ("pair", [ g; g ])) ground ]))
+    >|= fun assoc -> Lang.Itype { name; assoc }
+  in
+  let ty = oneof [ ground; map2 (fun x y -> Ctype.App ("pair", [ x; y ])) ground ground ] in
+  let op =
+    oneofl [ "f"; "g"; "h" ] >>= fun name ->
+    list_size (int_range 0 2) ty >>= fun params ->
+    ty >|= fun ret -> Lang.Iop { name; params; ret }
+  in
+  let model =
+    oneofl rcnames >>= fun concept ->
+    list_size (int_range 1 2) ground >>= fun args ->
+    oneofl [ []; [ "ax" ] ] >|= fun axioms ->
+    Lang.Imodel { concept; args; axioms }
+  in
+  let items = list_size (int_range 2 20) (frequency [ (3, concept); (2, tydecl); (3, op); (2, model) ]) in
+  let complexity_models =
+    list_size (int_range 0 2)
+      (triple (oneofl rcnames) (list_size (int_range 1 2) ground)
+         (oneofl [ Complexity.constant; Complexity.quadratic "n" ]))
+  in
+  pair items complexity_models
+
+let load_report_world (items, complexity_models) =
+  let reg = Registry.create () in
+  List.iter
+    (fun item ->
+      try Lang.load_items reg [ item ] with Registry.Duplicate _ -> ())
+    items;
+  List.iter
+    (fun (c, args, bound) ->
+      Registry.declare_model reg ~complexity:[ ("f", bound) ] c args)
+    complexity_models;
+  reg
+
+let report_world_args =
+  let g = List.map n rtynames in
+  List.map (fun x -> [ x ]) g
+  @ List.concat_map (fun x -> List.map (fun y -> [ x; y ]) g) g
+  @ [ [ Ctype.App ("pair", [ n "a"; n "b" ]) ];
+      [ Ctype.App ("pair", [ n "a"; n "b" ]); n "c" ] ]
+
+let report_world_reports reg =
+  List.concat_map
+    (fun c ->
+      List.concat_map
+        (fun args ->
+          List.map
+            (fun mode -> Check.check ~mode reg c args)
+            [ Check.Structural; Check.Nominal ])
+        report_world_args)
+    rcnames
+
+let report_world_arb =
+  QCheck.make
+    ~print:(fun (items, _) ->
+      String.concat "\n"
+        (List.map
+           (function
+             | Lang.Iconcept c -> Lang.to_source c
+             | Lang.Itype { name; _ } -> "type " ^ name
+             | Lang.Iop { name; _ } -> "op " ^ name
+             | Lang.Imodel { concept; _ } -> "model " ^ concept)
+           items))
+    report_world_gen
+
+let report_writer_world_prop =
+  qtest
+    (QCheck.Test.make ~name:"add_report = Fmt.str pp_report (random worlds)"
+       ~count:300 report_world_arb (fun w ->
+         List.for_all check_written (report_world_reports (load_report_world w))))
+
+let failure_name = function
+  | Check.Unknown_concept _ -> "Unknown_concept"
+  | Check.Unknown_type _ -> "Unknown_type"
+  | Check.Arity_mismatch _ -> "Arity_mismatch"
+  | Check.Unresolved_type _ -> "Unresolved_type"
+  | Check.Missing_assoc_type _ -> "Missing_assoc_type"
+  | Check.Missing_operation _ -> "Missing_operation"
+  | Check.Return_type_mismatch _ -> "Return_type_mismatch"
+  | Check.Same_type_violated _ -> "Same_type_violated"
+  | Check.Refinement_failed _ -> "Refinement_failed"
+  | Check.Nested_model_failed _ -> "Nested_model_failed"
+  | Check.Complexity_too_weak _ -> "Complexity_too_weak"
+  | Check.No_model_declared _ -> "No_model_declared"
+
+let rec failure_depth = function
+  | Check.Refinement_failed { causes; _ } | Check.Nested_model_failed { causes; _ } ->
+    1 + List.fold_left (fun d f -> Int.max d (failure_depth f)) 0 causes
+  | _ -> 0
+
+(* The generator's reach, checked on a fixed sample: every failure the
+   checker can produce shows up, nested at least two deep, with a
+   two-argument [pair<_, _>] inside a report. Unknown_type is never
+   produced by the checker; the failure-tree property below covers it. *)
+let test_report_worlds_reach_every_failure () =
+  let rand = Random.State.make [| 2004 |] in
+  let seen = Hashtbl.create 16 and deepest = ref 0 and pair_args = ref false in
+  for _ = 1 to 300 do
+    List.iter
+      (fun r ->
+        let rec visit f =
+          Hashtbl.replace seen (failure_name f) ();
+          match f with
+          | Check.Refinement_failed { causes; _ } | Check.Nested_model_failed { causes; _ } ->
+            List.iter visit causes
+          | _ -> ()
+        in
+        List.iter visit r.Check.rep_failures;
+        List.iter (fun f -> deepest := Int.max !deepest (failure_depth f)) r.Check.rep_failures;
+        if contains (written r) "pair<" && contains (written r) ",\n" then pair_args := true)
+      (report_world_reports (load_report_world (report_world_gen rand)))
+  done;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("reaches " ^ name) true (Hashtbl.mem seen name))
+    [ "Unknown_concept"; "Arity_mismatch"; "Unresolved_type";
+      "Missing_assoc_type"; "Missing_operation"; "Return_type_mismatch";
+      "Same_type_violated"; "Refinement_failed"; "Nested_model_failed";
+      "Complexity_too_weak"; "No_model_declared" ];
+  Alcotest.(check bool) "nested at least two deep" true (!deepest >= 2);
+  Alcotest.(check bool) "a pair argument breaks inside a box" true !pair_args
+
+(* Failure trees built directly: every constructor, and spines deep
+   enough that Format's indentation cap (column 68) is reached. *)
+let failure_gen =
+  let open QCheck.Gen in
+  let ty = ctype_gen in
+  let name = oneofl [ "C"; "Monoid"; "f" ] in
+  let leaf =
+    oneof
+      [ map (fun c -> Check.Unknown_concept c) name;
+        map (fun t -> Check.Unknown_type t) ty;
+        map2 (fun e g -> Check.Arity_mismatch { concept = "C"; expected = e; got = g })
+          small_nat small_nat;
+        map (fun t -> Check.Unresolved_type { ty = t; context = "return of f" }) ty;
+        map (fun t -> Check.Missing_assoc_type { ty = t; assoc = "elem" }) ty;
+        map2
+          (fun ps r ->
+            Check.Missing_operation
+              { expected = { Concept.op_name = "f"; op_params = ps; op_return = r; op_doc = "" } })
+          (list_size (int_range 0 3) ty) ty;
+        map2 (fun e f -> Check.Return_type_mismatch { op = "f"; expected = e; found = f }) ty ty;
+        map2 (fun l r -> Check.Same_type_violated { left = l; right = r }) ty ty;
+        return
+          (Check.Complexity_too_weak
+             { op = "f"; required = Complexity.constant; declared = Complexity.n_log_n "n" });
+        map (fun args -> Check.No_model_declared { concept = "C"; args }) (list_size (int_range 0 3) ty) ]
+  in
+  let node self =
+    map3
+      (fun refine args causes ->
+        if refine then Check.Refinement_failed { concept = "C"; args; causes }
+        else Check.Nested_model_failed { concept = "D"; args; causes })
+      bool (list_size (int_range 0 3) ty) self
+  in
+  let tree =
+    sized_size (int_range 0 4)
+    @@ fix (fun self d ->
+           if d = 0 then leaf
+           else frequency [ (2, leaf); (3, node (list_size (int_range 1 3) (self (d - 1)))) ])
+  in
+  let rec spine d = if d = 0 then map (fun f -> [ f ]) tree else node (spine (d - 1)) >|= fun f -> [ f ] in
+  frequency [ (4, list_size (int_range 1 3) tree); (1, int_range 30 40 >>= spine) ]
+
+let report_of_failures_arb =
+  QCheck.make
+    QCheck.Gen.(
+      map2
+        (fun args failures ->
+          { Check.rep_concept = "C"; rep_args = args; rep_failures = failures;
+            rep_warnings = [] })
+        (list_size (int_range 0 3) ctype_gen)
+        failure_gen)
+
+let report_writer_tree_prop =
+  qtest
+    (QCheck.Test.make ~name:"add_report = Fmt.str pp_report (failure trees)"
+       ~count:500 report_of_failures_arb check_written)
+
+
 let () =
   Alcotest.run "gp_concepts"
     [
@@ -1085,6 +1425,17 @@ let () =
       ("registry index",
         [ registry_equiv_prop; closure_equiv_prop;
           telemetry_transparent_prop ]);
+      ( "direct writers",
+        [
+          ctype_text_equal_prop;
+          ctype_text_is_pp_prop;
+          Alcotest.test_case "report writer = pp_report (standard world)"
+            `Quick test_report_writer_standard_world;
+          report_writer_world_prop;
+          Alcotest.test_case "random worlds reach every failure" `Quick
+            test_report_worlds_reach_every_failure;
+          report_writer_tree_prop;
+        ] );
       ( "overlay",
         [
           overlay_equiv_prop;

@@ -794,6 +794,59 @@ let test_request_key_tracks_generation () =
     (k1 <> Propagate.request_key reg "Container" args)
 
 (* ------------------------------------------------------------------ *)
+(* Byte-identity pin: the served bytes of a fixed stream               *)
+(* ------------------------------------------------------------------ *)
+
+(* The default mix plus the numeric kinds, with injected errors, served
+   line by line as gp serve does, through caches of 256 and of 4
+   entries. The digest of the rendered response lines and every cache's
+   hit/miss totals were recorded when responses were still rendered
+   through Format and proof plans built before the cache probe; a change
+   that moves one response byte or one cache counter fails here. *)
+let pinned_lines =
+  lazy
+    (let mix =
+       Workload.default_mix
+       @ Request.[ (Kmatvec, 8); (Kmatmul, 4); (Ksolve, 4) ]
+     in
+     List.mapi
+       (fun id r -> Wire.request_to_line ~id r)
+       (Workload.generate ~mix ~errors:0.05 ~seed:13 ~n:2000 ()))
+
+let serve_pinned capacity =
+  let server =
+    mkserver ~config:{ Server.default_config with cache_capacity = capacity } ()
+  in
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun line ->
+      match Server.serve_line server line with
+      | Some rsp ->
+        Wire.response_into buf rsp;
+        Buffer.add_char buf '\n'
+      | None -> ())
+    (Lazy.force pinned_lines);
+  ( Digest.to_hex (Digest.string (Buffer.contents buf)),
+    List.map
+      (fun st -> Printf.sprintf "%s %d/%d" st.Lru.st_name st.Lru.st_hits st.Lru.st_misses)
+      (Server.cache_stats server) )
+
+let test_pinned_bytes capacity (digest, counters) () =
+  let got_digest, got_counters = serve_pinned capacity in
+  Alcotest.(check (list string)) "cache hits/misses" counters got_counters;
+  Alcotest.(check string) "response lines digest" digest got_digest
+
+let pinned_256 =
+  ( "32c4b11a1f77be3f80c4b6b012e795c0",
+    [ "closures 418/10"; "defs 165/61"; "lint 293/60"; "cert 222/1";
+      "proofs 243/18"; "rewrites 189/34"; "numerics 209/71" ] )
+
+let pinned_4 =
+  ( "221dede5c2e060fed50b826e7715aa6f",
+    [ "closures 224/204"; "defs 48/178"; "lint 116/237"; "cert 222/1";
+      "proofs 111/150"; "rewrites 76/147"; "numerics 44/236" ] )
+
+(* ------------------------------------------------------------------ *)
 (* Check-with-defs sandboxes: overlays over the shared world           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1322,6 +1375,9 @@ let () =
             test_request_key_tracks_generation;
           Alcotest.test_case "served closure tracks mutations" `Quick
             test_closure_tracks_registry_mutation ] );
+      ( "byte-identity pin",
+        [ Alcotest.test_case "caches of 256" `Quick (test_pinned_bytes 256 pinned_256);
+          Alcotest.test_case "caches of 4" `Quick (test_pinned_bytes 4 pinned_4) ] );
       ( "sandbox",
         [ Alcotest.test_case "check-with-defs = seed path" `Quick
             test_sandbox_matches_seed_path;

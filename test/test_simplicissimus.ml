@@ -619,6 +619,67 @@ let test_matrix_eval () =
   let r = Engine.rewrite ~rules ~insts e in
   Alcotest.(check int) "0 ops after" 0 r.Engine.ops_after
 
+(* ------------------------------------------------------------------ *)
+(* Cache-key text                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Small expressions over every node and literal kind, floats that %g
+   prints alike among them, so that equal texts come up often. *)
+let key_expr_gen =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [ map Expr.int (int_range (-2) 2);
+        map Expr.float (oneofl [ 0.1; 0.1000001; 1e-7; 2.0; -0.0; 0.0 ]);
+        map Expr.bool bool;
+        map Expr.string (oneofl [ ""; "a"; "a b"; "q\"t"; "x\n" ]);
+        map2 (fun a b -> Expr.rat (Gp_algebra.Rational.make a b))
+          (int_range (-2) 2) (int_range 1 3);
+        map2 (fun x ty -> Expr.Var (x, ty)) (oneofl [ "x"; "y" ])
+          (oneofl [ "int"; "float" ]);
+        map2 (fun ty op -> Expr.Ident (ty, op)) (oneofl [ "int"; "float" ])
+          (oneofl [ "+"; "*" ]) ]
+  in
+  sized_size (int_range 0 3)
+  @@ fix (fun self d ->
+         if d = 0 then leaf
+         else
+           frequency
+             [ (1, leaf);
+               ( 3,
+                 map3
+                   (fun op ty args -> Expr.Op (op, ty, args))
+                   (oneofl [ "+"; "*"; "neg"; "f" ])
+                   (oneofl [ "int"; "float" ])
+                   (list_size (int_range 0 4) (self (d - 1))) ) ])
+
+(* The same expression with every carrier type renamed: different
+   terms, same text. *)
+let rec retype = function
+  | Expr.Var (x, _) -> Expr.Var (x, "other")
+  | Expr.Op (op, _, args) -> Expr.Op (op, "other", List.map retype args)
+  | e -> e
+
+let key e =
+  let buf = Buffer.create 64 in
+  Expr.add_to_buffer buf e;
+  Buffer.contents buf
+
+let key_groups_like_to_string_prop =
+  qtest
+    (QCheck.Test.make ~name:"Expr key equal <=> Expr.to_string equal"
+       ~count:1000
+       (QCheck.make
+          ~print:(fun (a, b) -> Expr.to_string a ^ " / " ^ Expr.to_string b)
+          QCheck.Gen.(
+            key_expr_gen >>= fun a ->
+            oneof [ return (retype a); key_expr_gen ] >|= fun b -> (a, b)))
+       (fun (a, b) ->
+         Bool.equal
+           (String.equal (key a) (key b))
+           (String.equal (Expr.to_string a) (Expr.to_string b))
+         && String.equal (key a) (Fmt.str "%a" (Fmt.hbox Expr.pp) a)))
+
 let () =
   Alcotest.run "gp_simplicissimus"
     [
@@ -673,5 +734,5 @@ let () =
         ] );
       ( "properties",
         [ semantics_prop; shrink_prop; idempotent_prop; rat_semantics_prop;
-          telemetry_transparent_prop ] );
+          telemetry_transparent_prop; key_groups_like_to_string_prop ] );
     ]

@@ -633,6 +633,73 @@ let test_recorder_slowest_k () =
       (err_d.Recorder.do_spans <> [])
   | l -> Alcotest.failf "expected 2 dossiers, got %d" (List.length l)
 
+(* The slowest-k set as it was kept before the fast path: every
+   duration inserted, the list sorted, the smallest dropped past k. *)
+let oracle_note k slow dur =
+  if k = 0 then slow
+  else
+    let l = List.sort Float.compare (dur :: slow) in
+    if List.length l > k then List.tl l else l
+
+let oracle_wants k slow ~ok ~dur =
+  (not ok)
+  || k > 0
+     && (List.length slow < k || match slow with m :: _ -> dur > m | [] -> true)
+
+let recorder_slowest_prop =
+  qtest
+    (QCheck.Test.make
+       ~name:"slowest-k and wants_payload == sort-every-time oracle"
+       ~count:500
+       QCheck.(
+         pair (int_range 0 4)
+           (list (triple bool (int_range 0 6) (int_range 0 2))))
+       (fun (k, steps) ->
+         let r = Recorder.create ~capacity:4 ~slowest:k () in
+         let probes = List.init 8 float_of_int in
+         let _ =
+           List.fold_left
+             (fun (slow, id) (ok, d, shape) ->
+               let dur = float_of_int d in
+               List.iter
+                 (fun p ->
+                   List.iter
+                     (fun ok ->
+                       if
+                         Recorder.wants_payload r ~ok ~dur_ns:p
+                         <> oracle_wants k slow ~ok ~dur:p
+                       then QCheck.Test.fail_reportf "wants_payload at %g" p)
+                     [ true; false ])
+                 probes;
+               let expect = oracle_wants k slow ~ok ~dur in
+               (* shape 0: spans and deltas; 1: deltas only; 2: neither *)
+               let d =
+                 let base =
+                   mk_dossier ~id ~outcome:(if ok then "ok" else "timeout")
+                     ~dur
+                     ~spans:(if shape = 0 then some_spans () else [])
+                     ()
+                 in
+                 if shape = 2 then { base with Recorder.do_metric_deltas = [] }
+                 else base
+               in
+               Recorder.record r d;
+               let slow = oracle_note k slow dur in
+               if Recorder.slowest r <> slow then
+                 QCheck.Test.fail_report "slowest-k set differs";
+               let stored = List.nth (Recorder.dossiers r) (Recorder.retained r - 1) in
+               if expect || shape = 2 then (
+                 if stored != d then
+                   QCheck.Test.fail_report "dossier copied needlessly")
+               else if
+                 stored.Recorder.do_spans <> []
+                 || stored.Recorder.do_metric_deltas <> []
+               then QCheck.Test.fail_report "payload kept";
+               (slow, id + 1))
+             ([], 1) steps
+         in
+         true))
+
 let test_recorder_jsonl () =
   let r = Recorder.create ~capacity:8 ~slowest:0 () in
   Recorder.record r
@@ -923,6 +990,7 @@ let () =
           Alcotest.test_case "slowest-k retention" `Quick
             test_recorder_slowest_k;
           Alcotest.test_case "jsonl export parses" `Quick test_recorder_jsonl;
+          recorder_slowest_prop;
         ] );
       ( "switchboard",
         [
