@@ -1375,7 +1375,7 @@ let () =
             test_request_key_tracks_generation;
           Alcotest.test_case "served closure tracks mutations" `Quick
             test_closure_tracks_registry_mutation ] );
-      ( "byte-identity pin",
+      ( "served bytes",
         [ Alcotest.test_case "caches of 256" `Quick (test_pinned_bytes 256 pinned_256);
           Alcotest.test_case "caches of 4" `Quick (test_pinned_bytes 4 pinned_4) ] );
       ( "sandbox",
