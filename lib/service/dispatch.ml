@@ -232,91 +232,70 @@ let handle_optimize t ~caching ~budget ~expr ~certified_only =
       (err Request.Over_budget "rewriting exceeded its step budget", false))
 
 (* The prove tables mirror bin/gp's prove command: a theory names its
-   instance mappings, per-instance axioms, and theorem builders. A known
-   theory yields its plan builder, so a cache hit never builds one. *)
-let theory_plan theory =
+   instance mappings, and each instance builds its axioms and theorems
+   on demand, so only a cache miss builds any. *)
+let theories =
   let open Gp_athena in
-  let for_lts lts theorems axioms_of =
-    List.map
-      (fun lt ->
-        ( lt,
-          axioms_of lt,
-          List.map (fun f -> f ~lt) theorems ))
-      lts
-  in
-  match theory with
-  | "swo" ->
-    Some
-      (fun () ->
-        for_lts [ "int_lt"; "string_lt" ]
-          [ Theorems.swo_e_reflexive; Theorems.swo_e_symmetric;
-            Theorems.swo_e_transitive; Theorems.swo_asymmetric ]
-          (fun lt -> Theory.strict_weak_order ~lt))
-  | "orders" ->
-    Some
-      (fun () ->
-        List.map
-          (fun leq ->
-            ( leq,
-              Theory.total_order ~leq,
+  let instance name axioms theorems = (name, fun () -> (axioms (), theorems ())) in
+  let rm = { Theory.r_name = "int"; add = Theory.int_add; mul = Theory.int_mul } in
+  [ ( "swo",
+      List.map
+        (fun lt ->
+          instance lt
+            (fun () -> Theory.strict_weak_order ~lt)
+            (fun () ->
+              List.map
+                (fun f -> f ~lt)
+                [ Theorems.swo_e_reflexive; Theorems.swo_e_symmetric;
+                  Theorems.swo_e_transitive; Theorems.swo_asymmetric ]))
+        [ "int_lt"; "string_lt" ] );
+    ( "orders",
+      List.map
+        (fun leq ->
+          instance leq
+            (fun () -> Theory.total_order ~leq)
+            (fun () ->
               List.map
                 (fun f -> f ~leq)
                 [ Theorems.strict_irreflexive; Theorems.strict_transitive;
-                  Theorems.strict_equiv_transitive ] ))
-          [ "int_le"; "string_le"; "rational_le" ])
-  | "monoid" ->
-    Some
-      (fun () ->
-        List.map
-          (fun m ->
-            ( Theory.map_name m,
-              Theory.monoid m,
+                  Theorems.strict_equiv_transitive ]))
+        [ "int_le"; "string_le"; "rational_le" ] );
+    ( "monoid",
+      List.map
+        (fun m ->
+          instance (Theory.map_name m)
+            (fun () -> Theory.monoid m)
+            (fun () ->
               List.map
                 (fun f -> f m)
                 [ Theorems.monoid_right_identity;
-                  Theorems.monoid_identity_unique ] ))
-          Theory.monoid_instances)
-  | "group" ->
-    Some
-      (fun () ->
-        List.map
-          (fun m ->
-            ( Theory.map_name m,
-              Theory.group_minimal m,
+                  Theorems.monoid_identity_unique ]))
+        Theory.monoid_instances );
+    ( "group",
+      List.map
+        (fun m ->
+          instance (Theory.map_name m)
+            (fun () -> Theory.group_minimal m)
+            (fun () ->
               List.map
                 (fun f -> f m)
                 [ Theorems.group_right_inverse; Theorems.group_right_identity;
                   Theorems.group_double_inverse;
-                  Theorems.group_left_cancellation ] ))
-          Theory.group_instances)
-  | "ring" ->
-    Some
-      (fun () ->
-        let rm =
-          { Theory.r_name = "int"; add = Theory.int_add; mul = Theory.int_mul }
-        in
-        [ ( "int",
-            Theory.ring rm,
+                  Theorems.group_left_cancellation ]))
+        Theory.group_instances );
+    ( "ring",
+      [ instance "int"
+          (fun () -> Theory.ring rm)
+          (fun () ->
             List.map
               (fun f -> f rm)
-              [ Theorems.ring_mul_zero; Theorems.ring_zero_mul ] ) ])
-  | _ -> None
+              [ Theorems.ring_mul_zero; Theorems.ring_zero_mul ]) ] ) ]
 
-let select_instance theory instance all =
-  match instance with
-  | None -> Ok all
-  | Some name -> (
-    match List.filter (fun (n, _, _) -> n = name) all with
-    | [] ->
-      Error
-        (Printf.sprintf "theory %s has no instance %s (have: %s)" theory name
-           (String.concat ", " (List.map (fun (n, _, _) -> n) all)))
-    | some -> Ok some)
-
-let verify_plan ~budget plan () =
+let verify_plan ~budget plan =
   let open Gp_athena in
   List.concat_map
-    (fun (iname, axioms, theorems) ->
+    (fun (iname, build) ->
+      let axioms, theorems = build () in
       List.map
         (fun (thm : Theorems.theorem) ->
           (* proof checking is the expensive stage: charge per theorem
@@ -328,28 +307,28 @@ let verify_plan ~budget plan () =
     plan
 
 let handle_prove t ~caching ~budget ~theory ~instance =
-  match theory_plan theory with
+  match List.assoc_opt theory theories with
   | None -> (err Request.Unknown_name ("unknown theory " ^ theory), false)
-  | Some build -> (
-    let key =
-      "prove|" ^ theory ^ "|" ^ Option.value ~default:"*" instance
-    in
-    (* Only a valid instance's verdicts are ever stored, so a stored key
-       needs no plan: probe before building one. *)
-    let verdicts =
-      if caching && Lru.mem t.caches.proofs key then
-        Ok (Lru.find_or_compute t.caches.proofs ~enabled:true key
-              (verify_plan ~budget []))
-      else
-        Result.map
-          (fun plan ->
-            Lru.find_or_compute t.caches.proofs ~enabled:caching key
-              (verify_plan ~budget plan))
-          (select_instance theory instance (build ()))
-    in
-    match verdicts with
-    | Error detail -> (err Request.Unknown_name detail, false)
-    | Ok (verdicts, hit) ->
+  | Some all -> (
+    match instance with
+    | Some name when not (List.mem_assoc name all) ->
+      ( err Request.Unknown_name
+          (Printf.sprintf "theory %s has no instance %s (have: %s)" theory name
+             (String.concat ", " (List.map fst all))),
+        false )
+    | _ ->
+      (* Only a known theory with a known instance (or none, keyed "*",
+         which no instance is called) reaches the cache. *)
+      let key =
+        "prove|" ^ theory ^ "|" ^ Option.value ~default:"*" instance
+      in
+      let verdicts, hit =
+        Lru.find_or_compute t.caches.proofs ~enabled:caching key (fun () ->
+            verify_plan ~budget
+              (match instance with
+               | None -> all
+               | Some name -> List.filter (fun (n, _) -> n = name) all))
+      in
       Budget.spend budget 1;
       let failed = List.length (List.filter (fun (_, ok) -> not ok) verdicts) in
       (Ok (Request.Proved { checked = List.length verdicts; failed }), hit))

@@ -496,6 +496,22 @@ let test_report_json_gc () =
     | _ -> Alcotest.fail "\"gc\" is not an object")
   | _ -> Alcotest.fail "report_json is not an object"
 
+(* A prove request without an instance is cached under the key
+   "prove|<theory>|*". Naming the instance "*" must still be rejected
+   before the cache is probed, even once that key is stored. *)
+let test_prove_wildcard_instance () =
+  let server = mkserver () in
+  let prove instance = Server.handle server (Request.Prove { theory = "swo"; instance }) in
+  Alcotest.(check bool) "prove swo succeeds" true (Request.ok (prove None));
+  Alcotest.(check bool) "prove swo is then a hit" true
+    (prove None).Request.rsp_cached;
+  check_code "instance \"*\" is unknown" Request.Unknown_name (prove (Some "*"));
+  let proofs =
+    List.find (fun s -> s.Lru.st_name = "proofs") (Server.cache_stats server)
+  in
+  Alcotest.(check (pair int int)) "proofs hits/misses" (1, 1)
+    (proofs.Lru.st_hits, proofs.Lru.st_misses)
+
 let test_over_budget () =
   let config =
     { Server.default_config with max_steps = 10; caching = false }
@@ -1330,7 +1346,9 @@ let () =
           Alcotest.test_case "metrics accounting" `Quick
             test_metrics_accounting;
           Alcotest.test_case "gc counters in stats report" `Quick
-            test_report_json_gc ] );
+            test_report_json_gc;
+          Alcotest.test_case "prove wildcard instance rejected" `Quick
+            test_prove_wildcard_instance ] );
       ( "transparency",
         [ Alcotest.test_case "direct library equivalence" `Quick
             test_direct_library_equivalence;
