@@ -224,11 +224,18 @@ let add_report buf r =
    and the athena examples insert into this through [certify_axiom]. *)
 let certified : (string * string * string) list ref = ref []
 
+(* Bumped by every new certification, so verdict memos (below) can tell
+   that an axiom warning they hold may no longer be issued. *)
+let certified_epoch = ref 0
+
 let args_key args = String.concat "," (List.map Ctype.to_string args)
 
 let certify_axiom ~concept ~axiom ~args =
   let key = (concept, axiom, args_key args) in
-  if not (List.mem key !certified) then certified := key :: !certified
+  if not (List.mem key !certified) then begin
+    certified := key :: !certified;
+    incr certified_epoch
+  end
 
 (* The argument key is rendered only once an entry's concept and axiom
    match, so checking an axiom nobody certified renders nothing. *)
@@ -419,8 +426,53 @@ and check_constraint ~mode ~visited reg env c acc =
     | _, None ->
       fail acc (Unresolved_type { ty = b; context = "same-type constraint" }))
 
-(* Public entry point: check whether ground types [args] model [concept]. *)
-let check ?(mode = Structural) reg concept args =
+(* A verdict memo: the reports of whole checks against one world. A
+   verdict depends on the registry's contents and the certification
+   table, so the memo remembers which registry (by identity), at which
+   generation and under which certification epoch it was filled, and
+   empties itself when any of the three differs. Only whole checks are
+   remembered: a nested judgment assumed true on a refinement cycle is
+   not a verdict. Clients name the concepts and types, so the table is
+   emptied, not grown, at [memo_limit] entries. *)
+type memo = {
+  verdicts : (mode * string * Ctype.t list, report) Hashtbl.t;
+  mutable world : Registry.t option;
+  mutable generation : int;
+  mutable epoch : int;
+}
+
+let memo_limit = 1024
+
+let memo () =
+  { verdicts = Hashtbl.create 16; world = None; generation = 0; epoch = 0 }
+
+let memo_size m = Hashtbl.length m.verdicts
+
+let memo_for m reg =
+  let generation = Registry.generation reg in
+  match m.world with
+  | Some w
+    when w == reg && m.generation = generation && m.epoch = !certified_epoch
+    -> ()
+  | _ ->
+    Hashtbl.reset m.verdicts;
+    m.world <- Some reg;
+    m.generation <- generation;
+    m.epoch <- !certified_epoch
+
+let run_check ~mode reg concept args =
+  let acc = { fails = []; warns = [] } in
+  check_concept ~mode ~visited:[] reg concept args acc;
+  {
+    rep_concept = concept;
+    rep_args = args;
+    rep_failures = List.rev acc.fails;
+    rep_warnings = List.rev acc.warns;
+  }
+
+(* Public entry point: check whether ground types [args] model [concept].
+   A memo hit emits the same span and counters as a miss. *)
+let check ?(mode = Structural) ?memo reg concept args =
   Gp_telemetry.Tel.with_span ~name:"concepts.check"
     ~attrs:(fun () ->
       [
@@ -429,22 +481,31 @@ let check ?(mode = Structural) reg concept args =
         ("concept", concept);
       ])
     (fun () ->
-      let acc = { fails = []; warns = [] } in
-      check_concept ~mode ~visited:[] reg concept args acc;
-      let failures = List.rev acc.fails and warnings = List.rev acc.warns in
       let module Tel = Gp_telemetry.Tel in
+      let report =
+        match memo with
+        | None -> run_check ~mode reg concept args
+        | Some m -> (
+          memo_for m reg;
+          let key = (mode, concept, args) in
+          match Hashtbl.find_opt m.verdicts key with
+          | Some report ->
+            Tel.count "gp_check_memo_hits_total" 1;
+            report
+          | None ->
+            let report = run_check ~mode reg concept args in
+            if Hashtbl.length m.verdicts >= memo_limit then
+              Hashtbl.reset m.verdicts;
+            Hashtbl.add m.verdicts key report;
+            report)
+      in
       if Tel.is_enabled () then begin
-        let outcome = if failures = [] then "ok" else "failed" in
+        let outcome = if report.rep_failures = [] then "ok" else "failed" in
         Tel.count ~labels:[ ("outcome", outcome) ] "gp_checks_total" 1;
-        Tel.count "gp_check_failures_total" (List.length failures);
-        Tel.count "gp_check_warnings_total" (List.length warnings);
+        Tel.count "gp_check_failures_total" (List.length report.rep_failures);
+        Tel.count "gp_check_warnings_total" (List.length report.rep_warnings);
         Tel.attr "outcome" outcome
       end;
-      {
-        rep_concept = concept;
-        rep_args = args;
-        rep_failures = failures;
-        rep_warnings = warnings;
-      })
+      report)
 
 let models ?mode reg concept args = ok (check ?mode reg concept args)

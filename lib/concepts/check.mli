@@ -51,9 +51,41 @@ val ok : report -> bool
 
 type mode = Structural | Nominal
 
-val check : ?mode:mode -> Registry.t -> string -> Ctype.t list -> report
+type memo
+(** Remembered verdicts for one world: whole-check reports keyed by
+    [(mode, concept, args)]. Once a world is fixed, "[args] model
+    [concept]" has a single answer, so a check against it need only run
+    once (a concept map is checked once and looked up afterwards, as in
+    the C++0x concepts design).
+
+    A memo is tagged with the registry it was last used with (by
+    identity), that registry's {!Registry.generation}, and an epoch that
+    {!certify_axiom} bumps whenever it adds an entry. Using it when any
+    of the three differs empties it first, so a declaration or a new
+    certification is never answered from stale verdicts. Only whole
+    checks are remembered, never the nested judgments inside one, which
+    the checker assumes true on refinement cycles. The table holds at
+    most {!memo_limit} entries and is emptied when it reaches that, so
+    client-chosen names cannot grow it without bound. *)
+
+val memo : unit -> memo
+(** An empty memo; it allocates a small table and grows on demand. *)
+
+val memo_limit : int
+(** The entry count at which a memo empties itself (1024). *)
+
+val memo_size : memo -> int
+(** Verdicts currently remembered. *)
+
+val check :
+  ?mode:mode -> ?memo:memo -> Registry.t -> string -> Ctype.t list -> report
 (** [check reg concept args]: do the ground types [args] model
-    [concept]? Defaults to {!Structural}. *)
+    [concept]? Defaults to {!Structural}. With [~memo], a verdict the
+    memo holds for this world is returned as is (the same report value)
+    and a computed one is remembered. Hit or miss, the [concepts.check]
+    span and the [gp_checks_total], [gp_check_failures_total] and
+    [gp_check_warnings_total] counters are emitted alike; a hit also
+    counts one in [gp_check_memo_hits_total]. *)
 
 val models : ?mode:mode -> Registry.t -> string -> Ctype.t list -> bool
 

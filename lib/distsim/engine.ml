@@ -137,31 +137,31 @@ module Eq = struct
       i := p
     done
 
+  let is_empty q = q.len = 0
+
+  (* The earliest event; [q] must not be empty. *)
   let pop q =
-    if q.len = 0 then None
-    else begin
-      let top = q.a.(0) in
-      q.len <- q.len - 1;
-      if q.len > 0 then begin
-        q.a.(0) <- q.a.(q.len);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let smallest = ref !i in
-          if l < q.len && lt q.a.(l) q.a.(!smallest) then smallest := l;
-          if r < q.len && lt q.a.(r) q.a.(!smallest) then smallest := r;
-          if !smallest <> !i then begin
-            let tmp = q.a.(!smallest) in
-            q.a.(!smallest) <- q.a.(!i);
-            q.a.(!i) <- tmp;
-            i := !smallest
-          end
-          else continue := false
-        done
-      end;
-      Some top
-    end
+    let top = q.a.(0) in
+    q.len <- q.len - 1;
+    if q.len > 0 then begin
+      q.a.(0) <- q.a.(q.len);
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let smallest = ref !i in
+        if l < q.len && lt q.a.(l) q.a.(!smallest) then smallest := l;
+        if r < q.len && lt q.a.(r) q.a.(!smallest) then smallest := r;
+        if !smallest <> !i then begin
+          let tmp = q.a.(!smallest) in
+          q.a.(!smallest) <- q.a.(!i);
+          q.a.(!i) <- tmp;
+          i := !smallest
+        end
+        else continue := false
+      done
+    end;
+    top
 end
 
 (* ------------------------------------------------------------------ *)
@@ -269,16 +269,17 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
       halt = (fun () -> halted.(i) <- true);
     }
   in
+  (* one context per node, built once: its effects read the shared
+     refs, so every event may reuse it *)
+  let ctxs = Array.init n ctx_of in
   (* initialisation round at time 0 *)
-  let states =
-    Array.init n (fun i -> algo.initial (ctx_of i))
-  in
+  let states = Array.map algo.initial ctxs in
   (* main loop *)
   let continue = ref true in
   while !continue do
-    match Eq.pop queue with
-    | None -> continue := false
-    | Some ev ->
+    if Eq.is_empty queue then continue := false
+    else begin
+      let ev = Eq.pop queue in
       now := ev.Eq.t;
       incr events;
       if !now > config.max_time || !events > config.max_events then
@@ -289,9 +290,10 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
           delivered_to.(ev.Eq.dst) <- delivered_to.(ev.Eq.dst) + 1
         end;
         states.(ev.Eq.dst) <-
-          algo.on_message (ctx_of ev.Eq.dst) states.(ev.Eq.dst)
+          algo.on_message ctxs.(ev.Eq.dst) states.(ev.Eq.dst)
             ~src:ev.Eq.src ev.Eq.msg
       end
+    end
   done;
   {
     decisions;

@@ -348,9 +348,15 @@ let tenants =
         let n_c = scale ~quick 1200 in
         let a = Arrivals.poisson ~seed ~rate:1.5 n_ab in
         let b = Arrivals.poisson ~seed:(seed + 1) ~rate:1.5 n_ab in
+        (* The flood opens after about 80 of c's 1200 arrivals, a fifth
+           of the way into a and b's traffic, and spends the rest inside
+           the window. A quick run's a and b end near t = 50, so its
+           window opens at t = 10, an eighth like the counts: the flood
+           keeps that shape and overflows the queue on every seed. *)
+        let burst_from = if quick then 10.0 else 80.0 in
         let c =
           Arrivals.burst ~seed:(seed + 2) ~rate:1.0 ~burst_rate:30.0
-            ~burst_from:80.0 ~burst_until:120.0 n_c
+            ~burst_from ~burst_until:(burst_from +. 40.0) n_c
         in
         let tagged = Arrivals.merge [ a; b; c ] in
         let per_tenant =

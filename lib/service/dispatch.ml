@@ -73,6 +73,9 @@ type t = {
   rules : Gp_simplicissimus.Rules.t list;
   select : Gp_structla.Select.t; (* the three numeric overload generics *)
   caches : caches;
+  verdicts : Check.memo;
+      (* plain checks against [registry]; not one of [caches], since a
+         remembered verdict is served exactly as a computed one *)
   scratch : Buffer.t; (* reused for cache keys and check reports *)
 }
 
@@ -86,6 +89,7 @@ let create ~declare_standard ~cache_capacity () =
       @ [ Gp_simplicissimus.Rules.lidia_inverse ];
     select = Gp_structla.Select.create ();
     caches = create_caches ~capacity:cache_capacity;
+    verdicts = Check.memo ();
     scratch = Buffer.create 256 }
 
 let registry t = t.registry
@@ -146,7 +150,10 @@ let handle_check t ~caching ~budget ~concept ~types ~nominal ~defs =
   | Ok (reg, hit) ->
     let mode = if nominal then Check.Nominal else Check.Structural in
     let args = List.map (fun ty -> Ctype.Named ty) types in
-    let report = Check.check ~mode reg concept args in
+    (* Only the shared world's verdicts are remembered, and only when
+       caching is on: a sandbox is a new world per request. *)
+    let memo = if caching && reg == t.registry then Some t.verdicts else None in
+    let report = Check.check ~mode ?memo reg concept args in
     Budget.spend budget
       (5
       + List.length report.Check.rep_failures

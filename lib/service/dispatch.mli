@@ -7,7 +7,14 @@
     exhaustion escapes as {!Budget.Exhausted} for the server to convert.
     The shared standard registry is never mutated — [Check] requests
     carrying extra [.gpc] declarations get a per-request sandbox, a
-    {!Gp_concepts.Registry.overlay} over it that reuses its index. *)
+    {!Gp_concepts.Registry.overlay} over it that reuses its index.
+
+    Each dispatcher also keeps a {!Gp_concepts.Check.memo} of plain
+    [Check] verdicts against the shared registry, used only when
+    [~caching] is on. It is not one of {!caches}: a remembered verdict
+    is the same report, rendered, charged and flagged ([cached] stays
+    false) exactly as a computed one, so no response byte, simulated
+    time or cache counter depends on it. *)
 
 type caches = {
   closures : string list Lru.t;

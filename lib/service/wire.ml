@@ -64,6 +64,15 @@ let expect c ch =
    buffer is always drained before it is reused. *)
 let strbuf = Buffer.create 256
 
+(* The first index at or after [i] holding a quote or a backslash, or
+   the length of [src]. *)
+let rec run_end src i =
+  if i >= String.length src then i
+  else
+    match String.unsafe_get src i with
+    | '"' | '\\' -> i
+    | _ -> run_end src (i + 1)
+
 (* The loop is a top-level [let rec] on purpose: a local recursive
    function with free variables is a fresh closure allocation per call,
    which matters on a path that runs for every escaped string. *)
@@ -107,9 +116,12 @@ let rec escaped_chars_into buf c =
           end
       | _ -> fail "bad escape \\%c" ch);
       escaped_chars_into buf c
-    | ch ->
-      advance c;
-      Buffer.add_char buf ch;
+    | _ ->
+      (* copy the run up to the next quote or backslash in one go *)
+      let start = c.pos in
+      let stop = run_end c.src (start + 1) in
+      Buffer.add_substring buf c.src start (stop - start);
+      c.pos <- stop;
       escaped_chars_into buf c
 
 let parse_string_body_into buf c =
@@ -121,25 +133,16 @@ let parse_string_body_into buf c =
    with escapes fall back to the scratch buffer. *)
 let parse_string_body c =
   let src = c.src in
-  let n = String.length src in
-  let i = ref c.pos in
-  while
-    !i < n
-    &&
-    let ch = String.unsafe_get src !i in
-    ch <> '"' && ch <> '\\'
-  do
-    incr i
-  done;
-  if !i < n && String.unsafe_get src !i = '"' then begin
-    let s = String.sub src c.pos (!i - c.pos) in
-    c.pos <- !i + 1;
+  let i = run_end src c.pos in
+  if i < String.length src && String.unsafe_get src i = '"' then begin
+    let s = String.sub src c.pos (i - c.pos) in
+    c.pos <- i + 1;
     s
   end
   else begin
     Buffer.clear strbuf;
-    Buffer.add_substring strbuf src c.pos (!i - c.pos);
-    c.pos <- !i;
+    Buffer.add_substring strbuf src c.pos (i - c.pos);
+    c.pos <- i;
     parse_string_body_into strbuf c
   end
 

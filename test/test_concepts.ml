@@ -1370,6 +1370,84 @@ let report_writer_tree_prop =
        ~count:500 report_of_failures_arb check_written)
 
 
+(* The verdict memo. A script over one random world interleaves
+   queries (each asked twice, so the second is a hit unless something
+   changed), declarations of a second world's items into the root, and
+   axiom certifications; every memoized report must equal a fresh
+   check's, structurally and as written text. Certifications are
+   process-wide and never withdrawn, so each case also declares a
+   concept "M" under a name of its own, whose axiom no earlier case can
+   have certified. *)
+type memo_step =
+  | Query of string * Ctype.t list * Check.mode
+  | Declare of Lang.item
+  | Certify of string * Ctype.t list
+
+let memo_script_gen =
+  let open QCheck.Gen in
+  let args = oneofl (List.filteri (fun i _ -> i < 6) report_world_args) in
+  report_world_gen >>= fun world ->
+  report_world_gen >>= fun (later, _) ->
+  list_size (int_range 10 40)
+    (frequency
+       [ (6, map3 (fun c a m -> Query (c, a, m)) (oneofl ("M" :: rcnames))
+                args (oneofl [ Check.Structural; Check.Nominal ]));
+         (1, map (fun i -> Declare i) (oneofl later));
+         (1, map2 (fun c a -> Certify (c, a)) (oneofl ("M" :: rcnames)) args) ])
+  >|= fun steps -> (world, steps)
+
+let memo_cases = ref 0
+
+let memo_equiv_prop =
+  qtest
+    (QCheck.Test.make ~name:"memoized check = fresh check" ~count:200
+       (QCheck.make memo_script_gen) (fun (world, steps) ->
+         let reg = load_report_world world in
+         incr memo_cases;
+         let m = "M" ^ string_of_int !memo_cases in
+         Registry.declare_concept reg
+           (Concept.make ~params:[ "T" ] m [ Concept.axiom "ax" "true" ]);
+         let name c = if c = "M" then m else c in
+         let memo = Check.memo () in
+         List.for_all
+           (function
+             | Declare item ->
+               (try Lang.load_items reg [ item ] with Registry.Duplicate _ -> ());
+               true
+             | Certify (concept, args) ->
+               Check.certify_axiom ~concept:(name concept) ~axiom:"ax" ~args;
+               true
+             | Query (c, args, mode) ->
+               let c = name c in
+               let fresh = Check.check ~mode reg c args in
+               List.for_all
+                 (fun r -> r = fresh && written r = written fresh)
+                 [ Check.check ~mode ~memo reg c args;
+                   Check.check ~mode ~memo reg c args ])
+           steps))
+
+let test_memo_hit_is_same_report () =
+  let reg = Registry.create () in
+  Lang.load_string reg {|concept C<T> { axiom ax : "true"; }|};
+  let memo = Check.memo () in
+  let r = Check.check ~memo reg "C" [ n "t" ] in
+  Alcotest.(check bool) "hit returns the remembered report" true
+    (Check.check ~memo reg "C" [ n "t" ] == r);
+  Alcotest.(check bool) "another registry is another world" false
+    (Check.check ~memo (Registry.create ()) "C" [ n "t" ] == r);
+  Alcotest.(check int) "and empties the memo first" 1 (Check.memo_size memo)
+
+let test_memo_bounded () =
+  let reg = Registry.create () in
+  Lang.load_string reg "concept C<T> { }";
+  let memo = Check.memo () in
+  for i = 1 to 10_000 do
+    ignore (Check.check ~memo reg "C" [ n ("unknown" ^ string_of_int i) ]);
+    if Check.memo_size memo > Check.memo_limit then
+      Alcotest.failf "memo holds %d verdicts" (Check.memo_size memo)
+  done;
+  Alcotest.(check bool) "still remembering" true (Check.memo_size memo > 0)
+
 let () =
   Alcotest.run "gp_concepts"
     [
@@ -1479,5 +1557,13 @@ let () =
           Alcotest.test_case "blowup" `Quick test_emulation_blowup;
           Alcotest.test_case "first-match ablation" `Quick
             test_first_match_is_worse;
+        ] );
+      (* last: its certifications are process-wide *)
+      ( "check memo",
+        [
+          Alcotest.test_case "hit is the same report" `Quick
+            test_memo_hit_is_same_report;
+          Alcotest.test_case "bounded" `Quick test_memo_bounded;
+          memo_equiv_prop;
         ] );
     ]

@@ -345,6 +345,107 @@ let wire_roundtrip_prop =
       | Error m, _ -> QCheck.Test.fail_reportf "direct rejected %s: %s" line m
       | _, Error m -> QCheck.Test.fail_reportf "ast rejected %s: %s" line m)
 
+(* Escaped wire strings: unescaped runs (copied in one piece by the
+   decoder) mixed with every escape the codec accepts, \uXXXX in either
+   hex case included. Each segment is generated with the bytes it must
+   decode to, so the decoders are held to an independent model, and to
+   each other on every truncation inside the escaped string. *)
+let utf8_of_code cp =
+  let b = Buffer.create 3 in
+  if cp < 0x80 then Buffer.add_char b (Char.chr cp)
+  else if cp < 0x800 then begin
+    Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
+    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
+  end
+  else begin
+    Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
+    Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
+    Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
+  end;
+  Buffer.contents b
+
+let gen_escaped_segment =
+  let open QCheck.Gen in
+  let run_char =
+    frequency
+      [ (8, map Char.chr (int_range 32 126)); (1, map Char.chr (int_range 0 31));
+        (1, map Char.chr (int_range 128 255)) ]
+    >|= fun ch -> if ch = '"' || ch = '\\' then 'q' else ch
+  in
+  let run = string_size ~gen:run_char (int_range 1 20) >|= fun r -> (r, r) in
+  let simple =
+    oneofl
+      [ ({|\"|}, "\""); ({|\\|}, "\\"); ({|\/|}, "/"); ({|\n|}, "\n");
+        ({|\t|}, "\t"); ({|\r|}, "\r"); ({|\b|}, "\b"); ({|\f|}, "\012") ]
+  in
+  let unicode =
+    map2
+      (fun cp upper ->
+        let hex = Printf.sprintf (if upper then "%04X" else "%04x") cp in
+        ("\\u" ^ hex, utf8_of_code cp))
+      (int_bound 0xFFFF) bool
+  in
+  frequency [ (3, run); (2, simple); (1, unicode) ]
+
+let gen_escaped_string =
+  QCheck.Gen.(
+    list_size (int_range 1 8) gen_escaped_segment >|= fun segs ->
+    (String.concat "" (List.map fst segs), String.concat "" (List.map snd segs)))
+
+let wire_escaped_runs_prop =
+  QCheck.Test.make ~name:"escaped runs decode" ~count:500
+    (QCheck.make
+       ~print:(fun ((a, _), (b, _)) -> a ^ " | " ^ b)
+       QCheck.Gen.(pair gen_escaped_string gen_escaped_string))
+    (fun ((raw1, text1), (raw2, text2)) ->
+      let lines =
+        [ ( Printf.sprintf {|{"kind":"lint","source":"%s"}|} raw1,
+            Request.Lint { source = text1 } );
+          ( Printf.sprintf {|{"kind":"check","concept":"%s","types":["%s"]}|}
+              raw1 raw2,
+            Request.Check
+              { concept = text1; types = [ text2 ]; nominal = false;
+                defs = None } ) ]
+      in
+      List.iter
+        (fun (line, expected) ->
+          (match (Wire.request_of_line line, Wire.request_of_line_ast line) with
+          | Ok (None, r1), Ok (None, r2) ->
+            if r1 <> expected then
+              QCheck.Test.fail_reportf "direct decode drifted on %s" line;
+            if r2 <> expected then
+              QCheck.Test.fail_reportf "ast decode drifted on %s" line
+          | Error m, _ | _, Error m ->
+            QCheck.Test.fail_reportf "rejected %s: %s" line m
+          | _ -> QCheck.Test.fail_reportf "unexpected id on %s" line);
+          (* every cut inside the escaped strings, mid-escape included *)
+          let from = String.index line ':' + 1 in
+          for cut = from to String.length line - 1 do
+            let l = String.sub line 0 cut in
+            match (Wire.request_of_line l, Wire.request_of_line_ast l) with
+            | Error a, Error b when String.equal a b -> ()
+            | Error a, Error b ->
+              QCheck.Test.fail_reportf "errors differ on %s: %s / %s" l a b
+            | _ -> QCheck.Test.fail_reportf "truncated %s accepted" l
+          done)
+        lines;
+      true)
+
+let test_wire_truncated_escapes () =
+  List.iter
+    (fun (line, expected) ->
+      match (Wire.request_of_line line, Wire.request_of_line_ast line) with
+      | Error a, Error b ->
+        let expected = "bad request line: " ^ expected in
+        Alcotest.(check string) (line ^ " (direct)") expected a;
+        Alcotest.(check string) (line ^ " (ast)") expected b
+      | _ -> Alcotest.failf "%s accepted" line)
+    [ ({|{"kind":"lint","source":"ab\|}, "unterminated escape");
+      ({|{"kind":"lint","source":"ab\u12|}, "truncated \\u escape");
+      ({|{"kind":"lint","source":"ab\uzzzz"}|}, "bad \\u escape zzzz");
+      ({|{"kind":"lint","source":"ab\q"}|}, "bad escape \\q");
+      ({|{"kind":"lint","source":"abc|}, "unterminated string") ]
+
 let gen_response =
   let open QCheck.Gen in
   let byte lo hi = map Char.chr (int_range lo hi) in
@@ -968,6 +1069,46 @@ let test_sandbox_leaves_world_untouched () =
     (Gp_concepts.Registry.generation world);
   Alcotest.(check (float 0.0)) "no index rebuilds" 0.0 rebuilds
 
+(* Plain checks against the shared world are remembered per server,
+   only with caching on, and never across a declaration into it. *)
+let memo_hits config reqs =
+  let server = mkserver ~config () in
+  Gp_telemetry.Tel.with_installed (fun sink ->
+      List.iter (fun r -> ignore (Server.handle server r)) reqs;
+      Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics
+        "gp_check_memo_hits_total")
+
+let test_check_memo_needs_caching () =
+  let check = Request.Check
+      { concept = "RandomAccessIterator"; types = [ "vector<int>::iterator" ];
+        nominal = false; defs = None } in
+  let reqs = [ check; check; check ] in
+  Alcotest.(check (float 0.0)) "hits with caching on" 2.0
+    (memo_hits Server.default_config reqs);
+  Alcotest.(check (float 0.0)) "no hits with caching off" 0.0
+    (memo_hits { Server.default_config with caching = false } reqs)
+
+let test_check_memo_tracks_declarations () =
+  let open Gp_concepts in
+  let server = mkserver () in
+  let check () =
+    match
+      (Server.handle server
+         (Request.Check
+            { concept = "Fresh"; types = [ "fresh_t" ]; nominal = false;
+              defs = None })).Request.rsp_result
+    with
+    | Ok (Request.Checked { report; _ }) -> report
+    | _ -> Alcotest.fail "check should be answered"
+  in
+  let before = check () in
+  Alcotest.(check string) "remembered answer is the same" before (check ());
+  let reg = Server.registry server in
+  Registry.declare_concept reg
+    (Concept.make ~params:[ "T" ] "Fresh" [ Concept.axiom "t" "true" ]);
+  let after = check () in
+  Alcotest.(check bool) "declaration changes the answer" true (before <> after)
+
 (* A served closure must track registry mutations: the generation-keyed
    request key prevents the LRU from ever serving an answer computed
    against the old world — which matters doubly now that the registry's
@@ -1337,7 +1478,10 @@ let () =
           Alcotest.test_case "direct parser = ast oracle" `Quick
             test_wire_parser_agreement;
           qtest wire_roundtrip_prop;
-          qtest wire_response_stream_prop ] );
+          qtest wire_response_stream_prop;
+          qtest wire_escaped_runs_prop;
+          Alcotest.test_case "truncated escapes" `Quick
+            test_wire_truncated_escapes ] );
       ( "robustness",
         [ Alcotest.test_case "malformed corpus" `Quick test_malformed_corpus;
           Alcotest.test_case "over budget" `Quick test_over_budget;
@@ -1392,7 +1536,11 @@ let () =
           Alcotest.test_case "request_key tracks generation" `Quick
             test_request_key_tracks_generation;
           Alcotest.test_case "served closure tracks mutations" `Quick
-            test_closure_tracks_registry_mutation ] );
+            test_closure_tracks_registry_mutation;
+          Alcotest.test_case "check memo needs caching" `Quick
+            test_check_memo_needs_caching;
+          Alcotest.test_case "check memo tracks declarations" `Quick
+            test_check_memo_tracks_declarations ] );
       ( "served bytes",
         [ Alcotest.test_case "caches of 256" `Quick (test_pinned_bytes 256 pinned_256);
           Alcotest.test_case "caches of 4" `Quick (test_pinned_bytes 4 pinned_4) ] );
