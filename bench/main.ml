@@ -61,6 +61,14 @@ let metrics : (string * string * float) list ref = ref []
 
 let record ~experiment name v = metrics := (experiment, name, v) :: !metrics
 
+(* The standard world every served section's servers start from. *)
+let declare_standard reg =
+  Gp_algebra.Decls.declare reg;
+  Gp_sequence.Decls.declare reg;
+  Gp_graph.Decls.declare reg;
+  Gp_linalg.Decls.declare reg;
+  Gp_structla.Decls.declare reg
+
 (* Written via a temp file + rename, so a crash mid-write never leaves
    a truncated JSON for bench-diff to choke on. *)
 let write_json path =
@@ -724,14 +732,6 @@ let s1 () =
   section "S1" "gp_service throughput: cold vs warm caches under a Zipf \
                 workload";
   let open Gp_service in
-  let declare_standard reg =
-    Gp_concepts.(ignore (reg : Registry.t));
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let n = if !quota < 0.5 then 150 else 600 in
   let seed = 42 in
   let reqs = Workload.generate ~seed ~n () in
@@ -1098,14 +1098,6 @@ let s4 () =
   let open Gp_service in
   let module Tel = Gp_telemetry.Tel in
   let module Recorder = Gp_telemetry.Recorder in
-  let declare_standard reg =
-    Gp_concepts.(ignore (reg : Registry.t));
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let quick = !quota < 0.5 in
   let n = if quick then 60 else 200 in
   let seed = 11 in
@@ -1206,13 +1198,6 @@ let s5 () =
   section "S5" "gp_cluster: sharded/replicated serving under deterministic \
                 failure injection";
   let open Gp_cluster in
-  let declare_standard reg =
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let n = 240 in
   let seed = 11 in
   let reqs =
@@ -1370,11 +1355,56 @@ let s6 () =
   Fmt.pr "@.acceptance: diagonal %.0fx >= 10x, banded %.1fx >= 5x (exact \
           matvec steps) — ok@."
     (step_ratio "diagonal") (step_ratio "banded");
+  (* What a served cache miss allocates: every op x structure at the
+     workload's orders, on distinct keys, through [Server.handle] with
+     caching on, after a warm-up on other seeds has filled the verdict
+     memo. The flight recorder is off: which dossiers it keeps depends
+     on wall time. Without it the minor words are exact for a fixed
+     build, so the mean is recorded and gated under --quick too. *)
+  let miss_words, misses =
+    let open Gp_service in
+    let config = { Server.default_config with flight_capacity = 0 } in
+    let server = Server.create ~config ~declare_standard () in
+    let grid seeds =
+      List.concat_map
+        (fun (mk, ns) ->
+          List.concat_map
+            (fun structure ->
+              List.concat_map
+                (fun n -> List.map (fun seed -> mk structure n seed) seeds)
+                ns)
+            Mat.structure_names)
+        [ ((fun structure n seed -> Request.Matvec { structure; n; seed }),
+           [ 24; 48; 96 ]);
+          ((fun structure n seed -> Request.Matmul { structure; n; seed }),
+           [ 16; 32; 40 ]);
+          ((fun structure n seed -> Request.Solve { structure; n; seed }),
+           [ 24; 48; 64 ]) ]
+    in
+    let serve reqs =
+      List.iter
+        (fun r ->
+          let rsp = Server.handle server r in
+          assert (Request.ok rsp && not rsp.Request.rsp_cached))
+        reqs
+    in
+    serve (grid [ 100 ]);
+    let reqs = grid [ 0; 1 ] in
+    Gc.full_major ();
+    let m0 = Gc.minor_words () in
+    serve reqs;
+    let m1 = Gc.minor_words () in
+    ((m1 -. m0) /. float_of_int (List.length reqs), List.length reqs)
+  in
+  Fmt.pr "numeric miss through Server.handle: %.1f minor words (mean of %d \
+          distinct keys)@."
+    miss_words misses;
+  record ~experiment:"s6" "numeric_miss_minor_words" miss_words;
   (* wall-clock confirmation + dispatch overhead, full runs only *)
   let wall_metrics =
     [ "matvec_dense_ns"; "matvec_diagonal_ns"; "matvec_banded_ns";
       "matvec_csr_ns"; "solve_dense_ns"; "solve_diagonal_ns";
-      "resolve_matvec_ns" ]
+      "resolve_matvec_ns"; "resolve_matvec_memo_ns" ]
   in
   if quick then begin
     List.iter (fun k -> record ~experiment:"s6" k nan) wall_metrics;
@@ -1411,6 +1441,16 @@ let s6 () =
           time_ns "resolve only (diagonal matvec)" (fun () ->
               Sys.opaque_identity (Select.resolve reg sel Select.Matvec m)))
     in
+    (* the same resolution answered from a verdict memo, as a caching
+       server resolves every carrier after its first miss *)
+    let t_resolve_memo =
+      let memo = Gp_concepts.Check.memo () in
+      get "diagonal" (fun _ m ->
+          ignore (Select.resolve ~memo reg sel Select.Matvec m);
+          time_ns "resolve only, memoized (diagonal matvec)" (fun () ->
+              Sys.opaque_identity
+                (Select.resolve ~memo reg sel Select.Matvec m)))
+    in
     Fmt.pr "@.%-40s %12s@." "wall clock (dispatch included)" "ns/op";
     let prow name v = Fmt.pr "%-40s %12s@." name (ns_str v) in
     prow "matvec diagonal, forced dense" forced_dense;
@@ -1420,6 +1460,7 @@ let s6 () =
     prow "solve dense" t_solve_dense;
     prow "solve diagonal, selected" t_solve_diag;
     prow "dispatch resolve alone" t_resolve;
+    prow "dispatch resolve alone, memoized" t_resolve_memo;
     Fmt.pr "wall speedups: diagonal %.1fx, banded %.1fx, csr %.1fx; \
             dispatch is %.1f%% of the diagonal matvec@."
       (forced_dense /. t_diag) (forced_dense /. t_band)
@@ -1431,7 +1472,8 @@ let s6 () =
     record ~experiment:"s6" "matvec_csr_ns" t_csr;
     record ~experiment:"s6" "solve_dense_ns" t_solve_dense;
     record ~experiment:"s6" "solve_diagonal_ns" t_solve_diag;
-    record ~experiment:"s6" "resolve_matvec_ns" t_resolve
+    record ~experiment:"s6" "resolve_matvec_ns" t_resolve;
+    record ~experiment:"s6" "resolve_matvec_memo_ns" t_resolve_memo
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1453,14 +1495,6 @@ let s7 () =
      baseline vs direct cursor parse + buffer render + streaming digest";
   let open Gp_service in
   let module Recorder = Gp_telemetry.Recorder in
-  let declare_standard reg =
-    Gp_concepts.(ignore (reg : Registry.t));
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let n = 300 in
   let seed = 42 in
   (* the s1 mixed workload plus the s6 numeric kinds, so the wire path
@@ -1657,13 +1691,6 @@ let s9 () =
                 tail-latency attribution";
   let open Gp_cluster in
   let open Gp_tracing in
-  let declare_standard reg =
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let n = 240 in
   let seed = 11 in
   let reqs = Gp_service.Workload.generate ~seed ~n () |> Array.of_list in
@@ -1766,13 +1793,6 @@ let s10 () =
                  million simulated users";
   let open Gp_cluster in
   let open Gp_scenario in
-  let declare_standard reg =
-    Gp_algebra.Decls.declare reg;
-    Gp_sequence.Decls.declare reg;
-    Gp_graph.Decls.declare reg;
-    Gp_linalg.Decls.declare reg;
-    Gp_structla.Decls.declare reg
-  in
   let seed = 1 in
   let scenario name =
     match Scenario.find name with

@@ -42,8 +42,10 @@ let add_candidate g ~name ~guard impl =
    structural checking, and overload resolution must respect the *declared*
    modeling relation, as type-class instances and C++ concept maps do.
    Among matches, the winner must have a guard that transitively refines
-   every other matching guard; otherwise the call is ambiguous. *)
-let resolve ?(mode = Check.Nominal) reg g args =
+   every other matching guard; otherwise the call is ambiguous. With
+   [~memo] each guard check is answered from the memo's verdicts for this
+   world, so a call site resolved before costs lookups, not checks. *)
+let resolve ?(mode = Check.Nominal) ?memo reg g args =
   let reports =
     List.map
       (fun c ->
@@ -53,11 +55,11 @@ let resolve ?(mode = Check.Nominal) reg g args =
           | None -> List.length args
         in
         let guard_args =
-          if List.length args >= concept_arity then
+          if List.length args > concept_arity then
             List.filteri (fun i _ -> i < concept_arity) args
           else args
         in
-        (c, Check.check ~mode reg c.cand_guard guard_args))
+        (c, Check.check ~mode ?memo reg c.cand_guard guard_args))
       g.candidates
   in
   let matches = List.filter (fun (_, r) -> Check.ok r) reports in

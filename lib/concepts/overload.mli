@@ -32,8 +32,18 @@ val create : string -> generic
 val add_candidate : generic -> name:string -> guard:string -> (dyn list -> dyn) -> unit
 
 val resolve :
-  ?mode:Check.mode -> Registry.t -> generic -> Ctype.t list -> resolution
-(** Default mode is {!Check.Nominal}. *)
+  ?mode:Check.mode ->
+  ?memo:Check.memo ->
+  Registry.t ->
+  generic ->
+  Ctype.t list ->
+  resolution
+(** Default mode is {!Check.Nominal}. With [~memo], every guard check
+    goes through {!Check.check}[ ~memo]: a guard already checked against
+    this world is answered from the memo, so resolving a call site a
+    second time costs lookups, not checks. The resolution is the one a
+    fresh call returns — the memo empties itself whenever the world or
+    the certifications change. *)
 
 val resolve_first_match :
   ?mode:Check.mode -> Registry.t -> generic -> Ctype.t list -> resolution

@@ -366,6 +366,43 @@ let handle_closure t ~caching ~budget ~concept ~types =
 
 let max_numeric_n = 256
 
+(* A numerics cache miss: generate, classify, resolve, run. [?memo] is
+   the server's verdict memo, so a carrier resolved before costs
+   lookups, not guard checks. *)
+let compute_numeric ?memo t ~op ~structure ~n ~seed =
+  let open Gp_structla in
+  let d = Option.get (Mat.generate_dense ~structure ~n ~seed) in
+  let m = Detect.classify d in
+  let steps, outcome =
+    match op with
+    | Select.Matvec ->
+      ( Kernels.matvec_steps m,
+        Result.map
+          (fun (k, y) -> (k, Mat.checksum_vec y))
+          (Select.matvec ?memo t.registry t.select m
+             (Mat.generate_vec ~n ~seed)) )
+    | Select.Matmul ->
+      ( Kernels.matmul_steps m,
+        Result.map
+          (fun (k, c) -> (k, Mat.checksum_dense (Mat.to_dense c)))
+          (Select.matmul ?memo t.registry t.select m m) )
+    | Select.Solve ->
+      ( Kernels.solve_steps m,
+        Result.map
+          (fun (k, x) -> (k, Mat.checksum_vec x))
+          (Select.solve ?memo t.registry t.select m
+             (Mat.generate_vec ~n ~seed)) )
+  in
+  match outcome with
+  | Ok (kernel, checksum) ->
+    Request.Computed
+      { kernel; detected = Mat.structure_name m; n; steps; checksum }
+  | Error diag ->
+    (* every carrier has a dense fallback for all three generics, so a
+       resolution failure here is a dispatcher bug: escape and let the
+       server report Internal *)
+    failwith diag
+
 let handle_numeric t ~caching ~budget ~op ~structure ~n ~seed =
   let open Gp_structla in
   if not (Mat.known_structure structure) then
@@ -378,43 +415,32 @@ let handle_numeric t ~caching ~budget ~op ~structure ~n ~seed =
         (Printf.sprintf "n=%d outside 1..%d" n max_numeric_n),
       false )
   else begin
-    let key =
-      "num|" ^ Select.op_name op ^ "|" ^ structure ^ "|" ^ string_of_int n
-      ^ "|" ^ string_of_int seed
-    in
+    (* Probe first, as [Lru.find_or_compute] would, with the same hit,
+       miss and eviction counts, but no closure on a hit. The verdict
+       memo, like every cache, is used only with caching on. *)
     let payload, hit =
-      Lru.find_or_compute t.caches.numerics ~enabled:caching key (fun () ->
-          let d = Option.get (Mat.generate_dense ~structure ~n ~seed) in
-          let m = Detect.classify d in
-          let steps, outcome =
-            match op with
-            | Select.Matvec ->
-              ( Kernels.matvec_steps m,
-                Result.map
-                  (fun (k, y) -> (k, Mat.checksum_vec y))
-                  (Select.matvec t.registry t.select m
-                     (Mat.generate_vec ~n ~seed)) )
-            | Select.Matmul ->
-              ( Kernels.matmul_steps m,
-                Result.map
-                  (fun (k, c) -> (k, Mat.checksum_dense (Mat.to_dense c)))
-                  (Select.matmul t.registry t.select m m) )
-            | Select.Solve ->
-              ( Kernels.solve_steps m,
-                Result.map
-                  (fun (k, x) -> (k, Mat.checksum_vec x))
-                  (Select.solve t.registry t.select m
-                     (Mat.generate_vec ~n ~seed)) )
+      if not caching then (compute_numeric t ~op ~structure ~n ~seed, false)
+      else begin
+        let b = t.scratch in
+        Buffer.clear b;
+        Buffer.add_string b "num|";
+        Buffer.add_string b (Select.op_name op);
+        Buffer.add_char b '|';
+        Buffer.add_string b structure;
+        Buffer.add_char b '|';
+        Request.add_int b n;
+        Buffer.add_char b '|';
+        Request.add_int b seed;
+        let key = Buffer.contents b in
+        match Lru.find t.caches.numerics key with
+        | Some payload -> (payload, true)
+        | None ->
+          let payload =
+            compute_numeric ~memo:t.verdicts t ~op ~structure ~n ~seed
           in
-          match outcome with
-          | Ok (kernel, checksum) ->
-            Request.Computed
-              { kernel; detected = Mat.structure_name m; n; steps; checksum }
-          | Error diag ->
-            (* every carrier has a dense fallback for all three generics,
-               so a resolution failure here is a dispatcher bug: escape
-               and let the server report Internal *)
-            failwith diag)
+          Lru.add t.caches.numerics key payload;
+          (payload, false)
+      end
     in
     (match payload with
     | Request.Computed { steps; _ } -> Budget.spend budget (1 + steps)

@@ -50,6 +50,10 @@ val key : t -> string
     mean observably equal requests. Used by the memo caches and by
     workload fingerprints. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Append the decimal text [string_of_int] gives, without building the
+    string. *)
+
 (** {2 Responses} *)
 
 type error_code =

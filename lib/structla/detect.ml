@@ -17,68 +17,69 @@ type profile = {
   pr_symmetric : bool;
 }
 
+(* Int compares, not the polymorphic [max]; row offsets hoisted; and the
+   symmetry scan of row [i] against column [i] stops at the first
+   mismatch, since one is enough. A non-square matrix is never
+   symmetric. *)
 let profile (m : Mat.dense) =
-  let n = m.Mat.n_rows in
-  let lo = ref 0 and hi = ref 0 and nnz = ref 0 and sym = ref true in
+  let n = m.Mat.n_rows and cols = m.Mat.n_cols and d = m.Mat.d in
+  let lo = ref 0 and hi = ref 0 and nnz = ref 0 and sym = ref (n = cols) in
   for i = 0 to n - 1 do
-    for j = 0 to m.Mat.n_cols - 1 do
-      let x = Mat.dense_get m i j in
-      if x <> 0.0 then begin
+    let row = i * cols in
+    for j = 0 to cols - 1 do
+      if d.(row + j) <> 0.0 then begin
         incr nnz;
-        if i > j then lo := max !lo (i - j) else hi := max !hi (j - i)
-      end;
-      if j < n && j < i && x <> Mat.dense_get m j i then sym := false
+        if i > j then (if i - j > !lo then lo := i - j)
+        else if j - i > !hi then hi := j - i
+      end
+    done;
+    let j = ref 0 in
+    while !sym && !j < i do
+      if d.(row + !j) <> d.((!j * cols) + i) then sym := false;
+      incr j
     done
   done;
-  { pr_lo = !lo; pr_hi = !hi; pr_nnz = !nnz;
-    pr_symmetric = (!sym && m.Mat.n_rows = m.Mat.n_cols) }
+  { pr_lo = !lo; pr_hi = !hi; pr_nnz = !nnz; pr_symmetric = !sym }
+
+let sparse_or_dense (m : Mat.dense) p =
+  if p.pr_nnz * 4 <= m.Mat.n_rows * m.Mat.n_cols then Mat.Csr (Mat.pack_csr m)
+  else Mat.Dense m
 
 (* Priority: diagonal, then triangular, then symmetric, then banded
    (band no wider than half the order), then CSR (at most quarter
    fill), then dense. The packers re-verify every claim. *)
 let classify_quiet (m : Mat.dense) =
-  let square = m.Mat.n_rows = m.Mat.n_cols in
   let n = m.Mat.n_rows in
   let p = profile m in
-  let try_ opt k = match opt with Some r -> Some r | None -> k () in
-  let attempt =
-    if not square then
-      if p.pr_nnz * 4 <= m.Mat.n_rows * m.Mat.n_cols then
-        Some (Mat.Csr (Mat.pack_csr m))
-      else None
-    else
-      try_
-        (if p.pr_lo = 0 && p.pr_hi = 0 then
-           Option.map (fun d -> Mat.Diagonal d) (Mat.pack_diagonal m)
-         else None)
-        (fun () ->
-          try_
-            (if p.pr_lo = 0 || p.pr_hi = 0 then
-               Option.map (fun t -> Mat.Triangular t) (Mat.pack_triangular m)
-             else None)
-            (fun () ->
-              try_
-                (if p.pr_symmetric then
-                   Option.map (fun s -> Mat.Symmetric s) (Mat.pack_symmetric m)
-                 else None)
-                (fun () ->
-                  try_
-                    (if p.pr_lo + p.pr_hi + 1 <= n / 2 then
-                       Option.map
-                         (fun b -> Mat.Banded b)
-                         (Mat.pack_banded ~lo:p.pr_lo ~hi:p.pr_hi m)
-                     else None)
-                    (fun () ->
-                      if p.pr_nnz * 4 <= n * n then
-                        Some (Mat.Csr (Mat.pack_csr m))
-                      else None))))
-  in
-  match attempt with Some r -> r | None -> Mat.Dense m
+  if n <> m.Mat.n_cols then sparse_or_dense m p
+  else
+    match
+      if p.pr_lo = 0 && p.pr_hi = 0 then Mat.pack_diagonal m else None
+    with
+    | Some d -> Mat.Diagonal d
+    | None -> (
+      match
+        if p.pr_lo = 0 || p.pr_hi = 0 then Mat.pack_triangular m else None
+      with
+      | Some t -> Mat.Triangular t
+      | None -> (
+        match if p.pr_symmetric then Mat.pack_symmetric m else None with
+        | Some s -> Mat.Symmetric s
+        | None -> (
+          match
+            if p.pr_lo + p.pr_hi + 1 <= n / 2 then
+              Mat.pack_banded ~lo:p.pr_lo ~hi:p.pr_hi m
+            else None
+          with
+          | Some b -> Mat.Banded b
+          | None -> sparse_or_dense m p)))
 
 let classify m =
   Tel.with_span ~name:"structla.detect" @@ fun () ->
   let r = classify_quiet m in
-  Tel.count "gp_structla_detect_total" 1
-    ~labels:[ ("structure", Mat.structure_name r) ];
-  Tel.attr "structure" (Mat.structure_name r);
+  if Tel.is_enabled () then begin
+    Tel.count "gp_structla_detect_total" 1
+      ~labels:[ ("structure", Mat.structure_name r) ];
+    Tel.attr "structure" (Mat.structure_name r)
+  end;
   r

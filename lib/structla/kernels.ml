@@ -1,6 +1,9 @@
 (* The kernels: one specialised implementation per structure the
    taxonomy knows, plus the naive dense references retained as qcheck
-   equivalence oracles (the PR-2 *_reference idiom).
+   equivalence oracles (the *_reference idiom). The served dense kernels
+   are separate from the references: the same floating-point operations
+   in the same order, with the row offsets hoisted out of the inner
+   loops, so the tests can hold them to the references bit for bit.
 
    Next to each kernel lives its exact step count — the number of
    inner-loop multiply-accumulate visits the kernel performs, computed
@@ -100,29 +103,42 @@ let solve_reference (m : Mat.dense) b =
 
 let matvec_diagonal (m : Mat.diagonal) v =
   check_vec "matvec" (m.Mat.dg_n, m.Mat.dg_n) v;
-  Array.init m.Mat.dg_n (fun i -> m.Mat.dg.(i) *. v.(i))
+  let y = Array.make m.Mat.dg_n 0.0 in
+  for i = 0 to m.Mat.dg_n - 1 do
+    y.(i) <- m.Mat.dg.(i) *. v.(i)
+  done;
+  y
 
 let matvec_banded (m : Mat.banded) v =
   let n = m.Mat.bd_n and lo = m.Mat.bd_lo and hi = m.Mat.bd_hi in
   check_vec "matvec" (n, n) v;
-  let w = lo + hi + 1 in
-  Array.init n (fun i ->
-      let s = ref 0.0 in
-      for j = max 0 (i - lo) to min (n - 1) (i + hi) do
-        s := !s +. (m.Mat.bd.((i * w) + (j - i + lo)) *. v.(j))
-      done;
-      !s)
+  let w = lo + hi + 1 and bd = m.Mat.bd in
+  let y = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let band = (i * w) - i + lo in
+    let s = ref 0.0 in
+    for j = Int.max 0 (i - lo) to Int.min (n - 1) (i + hi) do
+      s := !s +. (bd.(band + j) *. v.(j))
+    done;
+    y.(i) <- !s
+  done;
+  y
 
 let matvec_triangular (m : Mat.triangular) v =
   let n = m.Mat.tr_n in
   check_vec "matvec" (n, n) v;
-  Array.init n (fun i ->
-      let s = ref 0.0 in
-      let j0, j1 = if m.Mat.tr_upper then (i, n - 1) else (0, i) in
-      for j = j0 to j1 do
-        s := !s +. (m.Mat.tr.((i * n) + j) *. v.(j))
-      done;
-      !s)
+  let tr = m.Mat.tr and upper = m.Mat.tr_upper in
+  let y = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let row = i * n in
+    let s = ref 0.0 in
+    let j0, j1 = if upper then (i, n - 1) else (0, i) in
+    for j = j0 to j1 do
+      s := !s +. (tr.(row + j) *. v.(j))
+    done;
+    y.(i) <- !s
+  done;
+  y
 
 (* Each stored element a_ij (i > j) feeds both y_i and y_j: one visit,
    two multiply-accumulates — the step count is the n(n+1)/2 visits. *)
@@ -143,14 +159,30 @@ let matvec_symmetric (m : Mat.symmetric) v =
 
 let matvec_csr (m : Mat.csr) v =
   check_vec "matvec" (m.Mat.cs_rows, m.Mat.cs_cols) v;
-  Array.init m.Mat.cs_rows (fun i ->
-      let s = ref 0.0 in
-      for p = m.Mat.cs_ptr.(i) to m.Mat.cs_ptr.(i + 1) - 1 do
-        s := !s +. (m.Mat.cs_val.(p) *. v.(m.Mat.cs_idx.(p)))
-      done;
-      !s)
+  let ptr = m.Mat.cs_ptr and idx = m.Mat.cs_idx and vals = m.Mat.cs_val in
+  let y = Array.make m.Mat.cs_rows 0.0 in
+  for i = 0 to m.Mat.cs_rows - 1 do
+    let s = ref 0.0 in
+    for p = ptr.(i) to ptr.(i + 1) - 1 do
+      s := !s +. (vals.(p) *. v.(idx.(p)))
+    done;
+    y.(i) <- !s
+  done;
+  y
 
-let matvec_dense = matvec_reference
+let matvec_dense (m : Mat.dense) v =
+  check_vec "matvec" (m.Mat.n_rows, m.Mat.n_cols) v;
+  let n = m.Mat.n_cols and d = m.Mat.d in
+  let y = Array.make m.Mat.n_rows 0.0 in
+  for i = 0 to m.Mat.n_rows - 1 do
+    let row = i * n in
+    let s = ref 0.0 in
+    for j = 0 to n - 1 do
+      s := !s +. (d.(row + j) *. v.(j))
+    done;
+    y.(i) <- !s
+  done;
+  y
 
 (* ------------------------------------------------------------------ *)
 (* Specialised matmul (square, structure-closed products)              *)
@@ -159,8 +191,11 @@ let matvec_dense = matvec_reference
 let matmul_diagonal (a : Mat.diagonal) (b : Mat.diagonal) =
   if a.Mat.dg_n <> b.Mat.dg_n then
     bad "matmul: %dx%d * %dx%d" a.Mat.dg_n a.Mat.dg_n b.Mat.dg_n b.Mat.dg_n;
-  { Mat.dg_n = a.Mat.dg_n;
-    dg = Array.init a.Mat.dg_n (fun i -> a.Mat.dg.(i) *. b.Mat.dg.(i)) }
+  let dg = Array.make a.Mat.dg_n 0.0 in
+  for i = 0 to a.Mat.dg_n - 1 do
+    dg.(i) <- a.Mat.dg.(i) *. b.Mat.dg.(i)
+  done;
+  { Mat.dg_n = a.Mat.dg_n; dg }
 
 (* The band widens: (lo_a + lo_b, hi_a + hi_b), clamped to the order. *)
 let matmul_banded (a : Mat.banded) (b : Mat.banded) =
@@ -191,7 +226,26 @@ let matmul_banded (a : Mat.banded) (b : Mat.banded) =
   done;
   { Mat.bd_n = n; bd_lo = lo; bd_hi = hi; bd = c }
 
-let matmul_dense = matmul_reference
+let matmul_dense (a : Mat.dense) (b : Mat.dense) =
+  if a.Mat.n_cols <> b.Mat.n_rows then
+    bad "matmul: %dx%d * %dx%d" a.Mat.n_rows a.Mat.n_cols b.Mat.n_rows
+      b.Mat.n_cols;
+  let m = a.Mat.n_rows and k = a.Mat.n_cols and n = b.Mat.n_cols in
+  let c = Mat.dense_create m n in
+  let ad = a.Mat.d and bd = b.Mat.d and cd = c.Mat.d in
+  for i = 0 to m - 1 do
+    let arow = i * k and crow = i * n in
+    for kk = 0 to k - 1 do
+      let av = ad.(arow + kk) in
+      if av <> 0.0 then begin
+        let brow = kk * n in
+        for j = 0 to n - 1 do
+          cd.(crow + j) <- cd.(crow + j) +. (av *. bd.(brow + j))
+        done
+      end
+    done
+  done;
+  c
 
 (* ------------------------------------------------------------------ *)
 (* Specialised solve                                                   *)
@@ -199,10 +253,15 @@ let matmul_dense = matmul_reference
 
 let solve_diagonal (m : Mat.diagonal) b =
   check_vec "solve" (m.Mat.dg_n, m.Mat.dg_n) b;
-  Array.iteri
-    (fun i x -> if x = 0.0 then bad "solve: singular at column %d" i)
-    m.Mat.dg;
-  Array.init m.Mat.dg_n (fun i -> b.(i) /. m.Mat.dg.(i))
+  let dg = m.Mat.dg in
+  for i = 0 to Array.length dg - 1 do
+    if dg.(i) = 0.0 then bad "solve: singular at column %d" i
+  done;
+  let x = Array.make m.Mat.dg_n 0.0 in
+  for i = 0 to m.Mat.dg_n - 1 do
+    x.(i) <- b.(i) /. dg.(i)
+  done;
+  x
 
 let solve_triangular (m : Mat.triangular) b =
   let n = m.Mat.tr_n in
@@ -230,7 +289,59 @@ let solve_triangular (m : Mat.triangular) b =
     done;
   x
 
-let solve_dense = solve_reference
+(* [solve_reference] with each row offset computed once and the pivot
+   magnitude kept while scanning; the pivot row does not change while
+   it eliminates below it, so its diagonal entry is read once. *)
+let solve_dense (m : Mat.dense) b =
+  if m.Mat.n_rows <> m.Mat.n_cols then
+    bad "solve: %dx%d not square" m.Mat.n_rows m.Mat.n_cols;
+  check_vec "solve" (m.Mat.n_rows, m.Mat.n_cols) b;
+  let n = m.Mat.n_rows in
+  let a = Array.copy m.Mat.d in
+  let x = Array.copy b in
+  for col = 0 to n - 1 do
+    let piv = ref col in
+    let best = ref (Float.abs a.((col * n) + col)) in
+    for r = col + 1 to n - 1 do
+      let y = Float.abs a.((r * n) + col) in
+      if y > !best then begin
+        piv := r;
+        best := y
+      end
+    done;
+    let crow = col * n and prow = !piv * n in
+    if a.(prow + col) = 0.0 then bad "solve: singular at column %d" col;
+    if prow <> crow then begin
+      for j = 0 to n - 1 do
+        let t = a.(crow + j) in
+        a.(crow + j) <- a.(prow + j);
+        a.(prow + j) <- t
+      done;
+      let t = x.(col) in
+      x.(col) <- x.(!piv);
+      x.(!piv) <- t
+    end;
+    let pivot = a.(crow + col) in
+    for r = col + 1 to n - 1 do
+      let rrow = r * n in
+      let f = a.(rrow + col) /. pivot in
+      if f <> 0.0 then begin
+        for j = col to n - 1 do
+          a.(rrow + j) <- a.(rrow + j) -. (f *. a.(crow + j))
+        done;
+        x.(r) <- x.(r) -. (f *. x.(col))
+      end
+    done
+  done;
+  for i = n - 1 downto 0 do
+    let row = i * n in
+    let s = ref x.(i) in
+    for j = i + 1 to n - 1 do
+      s := !s -. (a.(row + j) *. x.(j))
+    done;
+    x.(i) <- !s /. a.(row + i)
+  done;
+  x
 
 (* ------------------------------------------------------------------ *)
 (* Exact step counts                                                   *)

@@ -24,6 +24,11 @@ val solve_reference : Mat.dense -> float array -> float array
 (** {2 Specialised matvec} *)
 
 val matvec_dense : Mat.dense -> float array -> float array
+(** The served dense kernels ([matvec_dense], [matmul_dense],
+    [solve_dense]) perform the same floating-point operations in the
+    same order as the references, with the indexing hoisted out of the
+    inner loops: their results equal the references' bit for bit. *)
+
 val matvec_diagonal : Mat.diagonal -> float array -> float array
 val matvec_banded : Mat.banded -> float array -> float array
 val matvec_triangular : Mat.triangular -> float array -> float array

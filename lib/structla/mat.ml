@@ -115,21 +115,41 @@ let nnz_csr m = m.cs_ptr.(m.cs_rows)
 (* Expansion and packing                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Direct row-major loops, not [dense_init]: a float-returning closure
+   per element boxes every return, and expansion runs on every served
+   matrix that falls back to a dense kernel. Unstored entries stay the
+   0.0 [dense_create] wrote. *)
 let to_dense = function
   | Dense m -> m
   | Diagonal { dg_n = n; dg } ->
-    dense_init n n (fun i j -> if i = j then dg.(i) else 0.0)
+    let m = dense_create n n in
+    for i = 0 to n - 1 do
+      m.d.((i * n) + i) <- dg.(i)
+    done;
+    m
   | Banded { bd_n = n; bd_lo = lo; bd_hi = hi; bd } ->
     let w = lo + hi + 1 in
-    dense_init n n (fun i j ->
-        if j >= i - lo && j <= i + hi then bd.((i * w) + (j - i + lo))
-        else 0.0)
+    let m = dense_create n n in
+    for i = 0 to n - 1 do
+      let row = i * n and band = (i * w) - i + lo in
+      for j = max 0 (i - lo) to min (n - 1) (i + hi) do
+        m.d.(row + j) <- bd.(band + j)
+      done
+    done;
+    m
   | Triangular { tr_n = n; tr; _ } ->
-    dense_init n n (fun i j -> tr.((i * n) + j))
+    { n_rows = n; n_cols = n; d = Array.sub tr 0 (n * n) }
   | Symmetric { sy_n = n; sy } ->
-    dense_init n n (fun i j ->
-        let i, j = if i >= j then (i, j) else (j, i) in
-        sy.((i * (i + 1) / 2) + j))
+    let m = dense_create n n in
+    for i = 0 to n - 1 do
+      let packed = i * (i + 1) / 2 in
+      for j = 0 to i do
+        let x = sy.(packed + j) in
+        m.d.((i * n) + j) <- x;
+        m.d.((j * n) + i) <- x
+      done
+    done;
+    m
   | Csr { cs_rows; cs_cols; cs_ptr; cs_idx; cs_val } ->
     let m = dense_create cs_rows cs_cols in
     for i = 0 to cs_rows - 1 do
@@ -140,32 +160,42 @@ let to_dense = function
     m
 
 (* Packers: [None] when the dense source does not satisfy the structure
-   exactly — the detector's contract depends on this strictness. *)
+   exactly — the detector's contract depends on this strictness, so each
+   one checks every entry its claim covers, whatever the detector's
+   profile said. *)
 
 let pack_diagonal m =
   if m.n_rows <> m.n_cols then None
   else
-    let n = m.n_rows in
+    let n = m.n_rows and d = m.d in
     let ok = ref true in
     for i = 0 to n - 1 do
+      let row = i * n in
       for j = 0 to n - 1 do
-        if i <> j && dense_get m i j <> 0.0 then ok := false
+        if i <> j && d.(row + j) <> 0.0 then ok := false
       done
     done;
     if not !ok then None
-    else Some { dg_n = n; dg = Array.init n (fun i -> dense_get m i i) }
+    else begin
+      let dg = Array.make n 0.0 in
+      for i = 0 to n - 1 do
+        dg.(i) <- d.((i * n) + i)
+      done;
+      Some { dg_n = n; dg }
+    end
 
 let pack_banded ~lo ~hi m =
   if m.n_rows <> m.n_cols || lo < 0 || hi < 0 then None
   else
-    let n = m.n_rows in
+    let n = m.n_rows and d = m.d in
     let w = lo + hi + 1 in
     let bd = Array.make (n * w) 0.0 in
     let ok = ref true in
     for i = 0 to n - 1 do
+      let row = i * n and band = (i * w) - i + lo in
       for j = 0 to n - 1 do
-        let x = dense_get m i j in
-        if j >= i - lo && j <= i + hi then bd.((i * w) + (j - i + lo)) <- x
+        let x = d.(row + j) in
+        if j >= i - lo && j <= i + hi then bd.(band + j) <- x
         else if x <> 0.0 then ok := false
       done
     done;
@@ -174,48 +204,56 @@ let pack_banded ~lo ~hi m =
 let pack_triangular m =
   if m.n_rows <> m.n_cols then None
   else
-    let n = m.n_rows in
+    let n = m.n_rows and d = m.d in
     let zero_below = ref true and zero_above = ref true in
     for i = 0 to n - 1 do
+      let row = i * n in
       for j = 0 to n - 1 do
-        if i > j && dense_get m i j <> 0.0 then zero_below := false;
-        if i < j && dense_get m i j <> 0.0 then zero_above := false
+        if i > j && d.(row + j) <> 0.0 then zero_below := false;
+        if i < j && d.(row + j) <> 0.0 then zero_above := false
       done
     done;
     if !zero_below || !zero_above then
-      Some { tr_n = n; tr_upper = !zero_below; tr = Array.copy m.d }
+      Some { tr_n = n; tr_upper = !zero_below; tr = Array.copy d }
     else None
 
 let pack_symmetric m =
   if m.n_rows <> m.n_cols then None
   else
-    let n = m.n_rows in
+    let n = m.n_rows and d = m.d in
     let ok = ref true in
     for i = 0 to n - 1 do
+      let row = i * n in
       for j = 0 to i - 1 do
-        if dense_get m i j <> dense_get m j i then ok := false
+        if d.(row + j) <> d.((j * n) + i) then ok := false
       done
     done;
     if not !ok then None
     else
       let sy = Array.make (n * (n + 1) / 2) 0.0 in
       for i = 0 to n - 1 do
+        let row = i * n and packed = i * (i + 1) / 2 in
         for j = 0 to i do
-          sy.((i * (i + 1) / 2) + j) <- dense_get m i j
+          sy.(packed + j) <- d.(row + j)
         done
       done;
       Some { sy_n = n; sy }
 
 (* Always succeeds: any matrix has a CSR form. *)
 let pack_csr m =
-  let nnz = Array.fold_left (fun a x -> if x <> 0.0 then a + 1 else a) 0 m.d in
+  let d = m.d in
+  let nnz = ref 0 in
+  for k = 0 to Array.length d - 1 do
+    if d.(k) <> 0.0 then incr nnz
+  done;
   let cs_ptr = Array.make (m.n_rows + 1) 0 in
-  let cs_idx = Array.make (max nnz 1) 0 in
-  let cs_val = Array.make (max nnz 1) 0.0 in
+  let cs_idx = Array.make (Int.max !nnz 1) 0 in
+  let cs_val = Array.make (Int.max !nnz 1) 0.0 in
   let p = ref 0 in
   for i = 0 to m.n_rows - 1 do
+    let row = i * m.n_cols in
     for j = 0 to m.n_cols - 1 do
-      let x = dense_get m i j in
+      let x = d.(row + j) in
       if x <> 0.0 then begin
         cs_idx.(!p) <- j;
         cs_val.(!p) <- x;
@@ -247,7 +285,7 @@ let as_banded = function
       for i = 0 to d.n_rows - 1 do
         for j = 0 to d.n_cols - 1 do
           if dense_get d i j <> 0.0 then
-            if i > j then lo := max !lo (i - j) else hi := max !hi (j - i)
+            if i > j then lo := Int.max !lo (i - j) else hi := Int.max !hi (j - i)
         done
       done;
       pack_banded ~lo:!lo ~hi:!hi d
@@ -272,50 +310,82 @@ let as_csr = function Csr m -> m | m -> pack_csr (to_dense m)
    requests without a singularity caveat. *)
 
 let dominate m =
-  let n = min m.n_rows m.n_cols in
+  let n = min m.n_rows m.n_cols and cols = m.n_cols and d = m.d in
   for i = 0 to n - 1 do
+    let row = i * cols in
     let s = ref 0.0 in
-    for j = 0 to m.n_cols - 1 do
-      if j <> i then s := !s +. Float.abs (dense_get m i j)
+    for j = 0 to cols - 1 do
+      if j <> i then s := !s +. Float.abs d.(row + j)
     done;
-    dense_set m i i (!s +. 1.0)
+    d.(row + i) <- !s +. 1.0
   done;
   m
 
 let rand st = (Random.State.float st 2.0) -. 1.0
 
+(* Row-major loops that draw from [st] only where the structure stores
+   an entry, in the order a row-major [dense_init] over the same guard
+   would: the draw order is what makes a (structure, n, seed) triple
+   name one matrix, on the server and in every replay. *)
 let generate_dense ~structure ~n ~seed =
   if n < 1 then invalid_arg (Printf.sprintf "Mat.generate: n=%d < 1" n);
   let st = Random.State.make [| 0x57ac; seed; n; Hashtbl.hash structure |] in
   let bw = 4 in
+  let m = dense_create n n in
+  let d = m.d in
   match structure with
-  | "dense" -> Some (dominate (dense_init n n (fun _ _ -> rand st)))
+  | "dense" ->
+    for k = 0 to (n * n) - 1 do
+      d.(k) <- rand st
+    done;
+    Some (dominate m)
   | "diagonal" ->
-    Some (dense_init n n (fun i j -> if i = j then 1.0 +. Float.abs (rand st) else 0.0))
+    for i = 0 to n - 1 do
+      d.((i * n) + i) <- 1.0 +. Float.abs (rand st)
+    done;
+    Some m
   | "banded" ->
-    Some
-      (dominate
-         (dense_init n n (fun i j ->
-              if abs (i - j) <= bw then rand st else 0.0)))
+    for i = 0 to n - 1 do
+      for j = max 0 (i - bw) to min (n - 1) (i + bw) do
+        d.((i * n) + j) <- rand st
+      done
+    done;
+    Some (dominate m)
   | "triangular" ->
-    Some (dominate (dense_init n n (fun i j -> if j >= i then rand st else 0.0)))
+    for i = 0 to n - 1 do
+      for j = i to n - 1 do
+        d.((i * n) + j) <- rand st
+      done
+    done;
+    Some (dominate m)
   | "symmetric" ->
-    let half = dense_init n n (fun i j -> if j <= i then rand st else 0.0) in
-    Some
-      (dominate
-         (dense_init n n (fun i j ->
-              if j <= i then dense_get half i j else dense_get half j i)))
+    (* draw the lower triangle row by row, then mirror it *)
+    for i = 0 to n - 1 do
+      for j = 0 to i do
+        d.((i * n) + j) <- rand st
+      done
+    done;
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        d.((i * n) + j) <- d.((j * n) + i)
+      done
+    done;
+    Some (dominate m)
   | "csr" ->
     (* ~5% fill plus the dominant diagonal: sparse at every n >= 24 *)
-    Some
-      (dominate
-         (dense_init n n (fun _ _ ->
-              if Random.State.int st 20 = 0 then rand st else 0.0)))
+    for k = 0 to (n * n) - 1 do
+      if Random.State.int st 20 = 0 then d.(k) <- rand st
+    done;
+    Some (dominate m)
   | _ -> None
 
 let generate_vec ~n ~seed =
   let st = Random.State.make [| 0xb0b; seed; n |] in
-  Array.init n (fun _ -> rand st)
+  let v = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    v.(i) <- rand st
+  done;
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Checksums                                                           *)
@@ -325,9 +395,9 @@ let generate_vec ~n ~seed =
    give replay-stable checksums. *)
 let checksum_vec v =
   let b = Bytes.create (8 * Array.length v) in
-  Array.iteri
-    (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x))
-    v;
+  for i = 0 to Array.length v - 1 do
+    Bytes.set_int64_le b (8 * i) (Int64.bits_of_float v.(i))
+  done;
   Digest.to_hex (Digest.bytes b)
 
 let checksum_dense m = checksum_vec m.d

@@ -122,41 +122,50 @@ let generic t = function
   | Matmul -> t.g_matmul
   | Solve -> t.g_solve
 
-let resolve reg t op m =
-  Overload.resolve reg (generic t op) [ Ctype.Named (Mat.carrier m) ]
+(* [?memo] is the caller's verdict memo for [reg]: a carrier resolved
+   before is answered from remembered guard checks. *)
+let resolve ?memo reg t op m =
+  Overload.resolve ?memo reg (generic t op) [ Ctype.Named (Mat.carrier m) ]
 
-let selected reg t op m =
-  match resolve reg t op m with
+let selected ?memo reg t op m =
+  match resolve ?memo reg t op m with
   | Overload.Selected (c, _) -> Ok c
   | (Overload.Ambiguous _ | Overload.No_match _) as r ->
     Error
       (Format.asprintf "%s on %s: %a" (op_name op) (Mat.carrier m)
          Overload.pp_resolution r)
 
-let run op_tag reg t gen_args m =
-  Tel.with_span ~name:("structla." ^ op_name op_tag) @@ fun () ->
-  match selected reg t op_tag m with
+let span_name = function
+  | Matvec -> "structla.matvec"
+  | Matmul -> "structla.matmul"
+  | Solve -> "structla.solve"
+
+let run ?memo op_tag reg t gen_args m =
+  Tel.with_span ~name:(span_name op_tag) @@ fun () ->
+  match selected ?memo reg t op_tag m with
   | Error _ as e -> e
   | Ok c ->
-    Tel.count "gp_structla_kernel_total" 1
-      ~labels:[ ("kernel", c.Overload.cand_name) ];
-    Tel.attr "kernel" c.Overload.cand_name;
+    if Tel.is_enabled () then begin
+      Tel.count "gp_structla_kernel_total" 1
+        ~labels:[ ("kernel", c.Overload.cand_name) ];
+      Tel.attr "kernel" c.Overload.cand_name
+    end;
     Ok (c.Overload.cand_name, c.Overload.cand_impl gen_args)
 
-let matvec reg t m v =
-  match run Matvec reg t [ Dmat m; Dvec v ] m with
+let matvec ?memo reg t m v =
+  match run ?memo Matvec reg t [ Dmat m; Dvec v ] m with
   | Error _ as e -> e
   | Ok (name, Dvec r) -> Ok (name, r)
   | Ok (name, _) -> Error (name ^ ": candidate returned a non-vector")
 
-let matmul reg t a b =
-  match run Matmul reg t [ Dmat a; Dmat b ] a with
+let matmul ?memo reg t a b =
+  match run ?memo Matmul reg t [ Dmat a; Dmat b ] a with
   | Error _ as e -> e
   | Ok (name, Dmat r) -> Ok (name, r)
   | Ok (name, _) -> Error (name ^ ": candidate returned a non-matrix")
 
-let solve reg t m b =
-  match run Solve reg t [ Dmat m; Dvec b ] m with
+let solve ?memo reg t m b =
+  match run ?memo Solve reg t [ Dmat m; Dvec b ] m with
   | Error _ as e -> e
   | Ok (name, Dvec r) -> Ok (name, r)
   | Ok (name, _) -> Error (name ^ ": candidate returned a non-vector")

@@ -25,11 +25,20 @@ val op_name : op -> string
 val create : unit -> t
 val generic : t -> op -> Gp_concepts.Overload.generic
 
-val resolve : Gp_concepts.Registry.t -> t -> op -> Mat.t -> Gp_concepts.Overload.resolution
+val resolve :
+  ?memo:Gp_concepts.Check.memo ->
+  Gp_concepts.Registry.t -> t -> op -> Mat.t -> Gp_concepts.Overload.resolution
 (** Resolution only — what the bench times as dispatch overhead and
-    what the ambiguity/miss tests inspect. *)
+    what the ambiguity/miss tests inspect. [?memo] is handed to
+    {!Gp_concepts.Overload.resolve}: with a verdict memo kept for this
+    registry, a carrier resolved before is answered from its remembered
+    guard checks (what C++ does once per type at compile time). The
+    resolution is the same with or without it; leave it out when the
+    registry is a throwaway world. The three operations below take it
+    likewise. *)
 
 val matvec :
+  ?memo:Gp_concepts.Check.memo ->
   Gp_concepts.Registry.t -> t -> Mat.t -> float array ->
   (string * float array, string) result
 (** [Ok (kernel_name, y)]; [Error] renders the resolution diagnostic on
@@ -38,8 +47,10 @@ val matvec :
     other operations likewise). *)
 
 val matmul :
+  ?memo:Gp_concepts.Check.memo ->
   Gp_concepts.Registry.t -> t -> Mat.t -> Mat.t -> (string * Mat.t, string) result
 
 val solve :
+  ?memo:Gp_concepts.Check.memo ->
   Gp_concepts.Registry.t -> t -> Mat.t -> float array ->
   (string * float array, string) result

@@ -1426,6 +1426,66 @@ let memo_equiv_prop =
                    Check.check ~mode ~memo reg c args ])
            steps))
 
+(* Overload resolution through the memo: the same script, each query
+   now resolving a generic whose candidates are guarded by the world's
+   concepts (a guard may repeat, or name no concept) on every argument
+   list the script draws from. Winners and losers
+   compare by name; a miss or an ambiguity by its printed text, with a
+   miss's per-candidate reports as written text too. *)
+let resolution_view r =
+  let name c = c.Overload.cand_name in
+  match r with
+  | Overload.Selected (w, losers) -> "selected" :: name w :: List.map name losers
+  | Overload.Ambiguous _ -> [ Fmt.str "%a" Overload.pp_resolution r ]
+  | Overload.No_match reports ->
+    Fmt.str "%a" Overload.pp_resolution r
+    :: List.map (fun (c, rep) -> c ^ ": " ^ written rep) reports
+
+let query_args = List.filteri (fun i _ -> i < 6) report_world_args
+
+let resolve_script_gen =
+  QCheck.Gen.(pair memo_script_gen (list_size (int_range 1 4) (oneofl ("M" :: rcnames))))
+
+let resolve_memo_prop =
+  qtest
+    (QCheck.Test.make ~name:"memoized resolve = fresh resolve" ~count:200
+       (QCheck.make resolve_script_gen) (fun ((world, steps), guards) ->
+         let reg = load_report_world world in
+         incr memo_cases;
+         let m = "M" ^ string_of_int !memo_cases in
+         Registry.declare_concept reg
+           (Concept.make ~params:[ "T" ] m [ Concept.axiom "ax" "true" ]);
+         let name c = if c = "M" then m else c in
+         let g = Overload.create "g" in
+         List.iteri
+           (fun i c ->
+             Overload.add_candidate g ~name:("g" ^ string_of_int i)
+               ~guard:(name c) (fun _ -> Overload.Unit))
+           guards;
+         let memo = Check.memo () in
+         List.for_all
+           (function
+             | Declare item ->
+               (try Lang.load_items reg [ item ] with Registry.Duplicate _ -> ());
+               true
+             | Certify (concept, args) ->
+               Check.certify_axiom ~concept:(name concept) ~axiom:"ax" ~args;
+               true
+             | Query (_, _, mode) ->
+               (* every argument list, so a verdict remembered before a
+                  later step is asked for again after it *)
+               List.for_all
+                 (fun args ->
+                   let fresh =
+                     resolution_view (Overload.resolve ~mode reg g args)
+                   in
+                   List.for_all
+                     (fun r -> resolution_view r = fresh)
+                     [ Overload.resolve ~mode ~memo reg g args;
+                       Overload.resolve ~mode ~memo reg g args ])
+                 query_args)
+           steps))
+
 let test_memo_hit_is_same_report () =
   let reg = Registry.create () in
   Lang.load_string reg {|concept C<T> { axiom ax : "true"; }|};
@@ -1565,5 +1625,6 @@ let () =
             test_memo_hit_is_same_report;
           Alcotest.test_case "bounded" `Quick test_memo_bounded;
           memo_equiv_prop;
+          resolve_memo_prop;
         ] );
     ]

@@ -1428,6 +1428,61 @@ let test_numeric_validation () =
   | Ok _ -> Alcotest.fail "missing n must be rejected");
   assert_alive server
 
+(* Every numeric op x structure x n 1..40 x seed 0..2, served through
+   [Server.handle]: response fingerprints and budget charges, digested.
+   The pinned digest was computed before the generator, detector and
+   dense kernels lost their closures; a served matrix or result that
+   moved by one bit would change it. Caching must not change it either. *)
+let numeric_grid_digest config =
+  let server = mkserver ~config () in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun structure ->
+          for n = 1 to 40 do
+            for seed = 0 to 2 do
+              let rsp = Server.handle server (op structure n seed) in
+              Buffer.add_string b (Request.response_fingerprint rsp);
+              Buffer.add_char b ' ';
+              Buffer.add_string b (string_of_int rsp.Request.rsp_steps);
+              Buffer.add_char b '\n'
+            done
+          done)
+        Gp_structla.Mat.structure_names)
+    [ (fun structure n seed -> Request.Matvec { structure; n; seed });
+      (fun structure n seed -> Request.Matmul { structure; n; seed });
+      (fun structure n seed -> Request.Solve { structure; n; seed }) ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_numeric_grid_pinned () =
+  let pinned = "7274d0c574511cae54c8a6b95ea47256" in
+  List.iter
+    (fun (label, config) ->
+      Alcotest.(check string) label pinned (numeric_grid_digest config))
+    [ ("caching on", Server.default_config);
+      ("caching off", { Server.default_config with caching = false });
+      ("4-entry caches", { Server.default_config with cache_capacity = 4 }) ]
+
+(* Numeric resolution goes through the server's verdict memo only with
+   caching on: a second distinct miss on the same carrier answers every
+   matvec guard from it. *)
+let test_numeric_memo_needs_caching () =
+  let diag n = Request.Matvec { structure = "diagonal"; n; seed = 1 } in
+  let guards =
+    List.length
+      (Gp_structla.Select.generic (Gp_structla.Select.create ())
+         Gp_structla.Select.Matvec).Gp_concepts.Overload.candidates
+  in
+  Alcotest.(check (float 0.0)) "first miss checks" 0.0
+    (memo_hits Server.default_config [ diag 8 ]);
+  Alcotest.(check (float 0.0)) "second miss hits every guard"
+    (float_of_int guards)
+    (memo_hits Server.default_config [ diag 8; diag 9 ]);
+  Alcotest.(check (float 0.0)) "no hits with caching off" 0.0
+    (memo_hits { Server.default_config with caching = false }
+       [ diag 8; diag 9; diag 8 ])
+
 let test_numeric_workload () =
   let mix =
     Workload.default_mix
@@ -1519,7 +1574,11 @@ let () =
           Alcotest.test_case "validation and wire defaults" `Quick
             test_numeric_validation;
           Alcotest.test_case "numeric workload mix" `Quick
-            test_numeric_workload ] );
+            test_numeric_workload;
+          Alcotest.test_case "numeric grid pinned" `Quick
+            test_numeric_grid_pinned;
+          Alcotest.test_case "numeric memo needs caching" `Quick
+            test_numeric_memo_needs_caching ] );
       ( "flight",
         [ Alcotest.test_case "config line roundtrip" `Quick
             test_config_line_roundtrip;

@@ -297,6 +297,221 @@ let test_step_ratios_at_256 () =
     (dense_steps >= 5 * band_steps)
 
 (* ------------------------------------------------------------------ *)
+(* Bit-exact oracles for the closure-free generation and detection     *)
+(* ------------------------------------------------------------------ *)
+
+(* The closure-based generator, expander and profiler the library used
+   before its direct loops, kept verbatim (module-qualified) as oracles:
+   the served matrices, their expansions and the detector's profile must
+   be exactly theirs, since a (structure, n, seed) triple names one
+   matrix in every process that regenerates it. *)
+module Oracle = struct
+  let dominate m =
+    let n = min m.Mat.n_rows m.Mat.n_cols in
+    for i = 0 to n - 1 do
+      let s = ref 0.0 in
+      for j = 0 to m.Mat.n_cols - 1 do
+        if j <> i then s := !s +. Float.abs (Mat.dense_get m i j)
+      done;
+      Mat.dense_set m i i (!s +. 1.0)
+    done;
+    m
+
+  let rand st = (Random.State.float st 2.0) -. 1.0
+
+  let generate_dense ~structure ~n ~seed =
+    if n < 1 then invalid_arg (Printf.sprintf "Mat.generate: n=%d < 1" n);
+    let st = Random.State.make [| 0x57ac; seed; n; Hashtbl.hash structure |] in
+    let bw = 4 in
+    match structure with
+    | "dense" -> Some (dominate (Mat.dense_init n n (fun _ _ -> rand st)))
+    | "diagonal" ->
+      Some (Mat.dense_init n n (fun i j -> if i = j then 1.0 +. Float.abs (rand st) else 0.0))
+    | "banded" ->
+      Some
+        (dominate
+           (Mat.dense_init n n (fun i j ->
+                if abs (i - j) <= bw then rand st else 0.0)))
+    | "triangular" ->
+      Some (dominate (Mat.dense_init n n (fun i j -> if j >= i then rand st else 0.0)))
+    | "symmetric" ->
+      let half = Mat.dense_init n n (fun i j -> if j <= i then rand st else 0.0) in
+      Some
+        (dominate
+           (Mat.dense_init n n (fun i j ->
+                if j <= i then Mat.dense_get half i j else Mat.dense_get half j i)))
+    | "csr" ->
+      (* ~5% fill plus the dominant diagonal: sparse at every n >= 24 *)
+      Some
+        (dominate
+           (Mat.dense_init n n (fun _ _ ->
+                if Random.State.int st 20 = 0 then rand st else 0.0)))
+    | _ -> None
+
+  let to_dense = function
+    | Mat.Dense m -> m
+    | Mat.Diagonal { dg_n = n; dg } ->
+      Mat.dense_init n n (fun i j -> if i = j then dg.(i) else 0.0)
+    | Mat.Banded { bd_n = n; bd_lo = lo; bd_hi = hi; bd } ->
+      let w = lo + hi + 1 in
+      Mat.dense_init n n (fun i j ->
+          if j >= i - lo && j <= i + hi then bd.((i * w) + (j - i + lo))
+          else 0.0)
+    | Mat.Triangular { tr_n = n; tr; _ } ->
+      Mat.dense_init n n (fun i j -> tr.((i * n) + j))
+    | Mat.Symmetric { sy_n = n; sy } ->
+      Mat.dense_init n n (fun i j ->
+          let i, j = if i >= j then (i, j) else (j, i) in
+          sy.((i * (i + 1) / 2) + j))
+    | Mat.Csr { cs_rows; cs_cols; cs_ptr; cs_idx; cs_val } ->
+      let m = Mat.dense_create cs_rows cs_cols in
+      for i = 0 to cs_rows - 1 do
+        for p = cs_ptr.(i) to cs_ptr.(i + 1) - 1 do
+          m.Mat.d.((i * cs_cols) + cs_idx.(p)) <- cs_val.(p)
+        done
+      done;
+      m
+
+  let profile (m : Mat.dense) =
+    let n = m.Mat.n_rows in
+    let lo = ref 0 and hi = ref 0 and nnz = ref 0 and sym = ref true in
+    for i = 0 to n - 1 do
+      for j = 0 to m.Mat.n_cols - 1 do
+        let x = Mat.dense_get m i j in
+        if x <> 0.0 then begin
+          incr nnz;
+          if i > j then lo := max !lo (i - j) else hi := max !hi (j - i)
+        end;
+        if j < n && j < i && x <> Mat.dense_get m j i then sym := false
+      done
+    done;
+    { Detect.pr_lo = !lo; pr_hi = !hi; pr_nnz = !nnz;
+      pr_symmetric = (!sym && m.Mat.n_rows = m.Mat.n_cols) }
+end
+
+(* Equal IEEE bit patterns, not merely close values. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let same_dense (a : Mat.dense) (b : Mat.dense) =
+  a.Mat.n_rows = b.Mat.n_rows && a.Mat.n_cols = b.Mat.n_cols
+  && same_bits a.Mat.d b.Mat.d
+
+(* Every representation a matrix admits: the detector's pick, each
+   conversion that accepts it, and the dense form itself. *)
+let representations (d : Mat.dense) =
+  let dm = Mat.Dense d in
+  let some f wrap = Option.map wrap (f dm) in
+  List.filter_map Fun.id
+    [ Some dm; Some (Detect.classify_quiet d); Some (Mat.Csr (Mat.as_csr dm));
+      some Mat.as_diagonal (fun x -> Mat.Diagonal x);
+      some Mat.as_banded (fun x -> Mat.Banded x);
+      some Mat.as_triangular (fun x -> Mat.Triangular x);
+      some Mat.as_symmetric (fun x -> Mat.Symmetric x) ]
+
+(* generation, expansion and profile against the oracles, on one
+   matrix; [None] when all agree *)
+let oracle_mismatch (d : Mat.dense) =
+  if Detect.profile d <> Oracle.profile d then Some "profile"
+  else
+    List.find_map
+      (fun r ->
+        if same_dense (Mat.to_dense r) (Oracle.to_dense r) then None
+        else Some ("to_dense " ^ Mat.structure_name r))
+      (representations d)
+
+let test_generation_matches_oracle () =
+  List.iter
+    (fun structure ->
+      for n = 1 to 96 do
+        for seed = 0 to 2 do
+          let label = Printf.sprintf "%s n=%d seed=%d" structure n seed in
+          let d = gen structure ~n ~seed in
+          (match Oracle.generate_dense ~structure ~n ~seed with
+          | Some o when same_dense d o -> ()
+          | _ -> Alcotest.failf "generate_dense differs: %s" label);
+          Option.iter
+            (fun what -> Alcotest.failf "%s differs: %s" what label)
+            (oracle_mismatch d)
+        done
+      done)
+    Mat.structure_names;
+  Alcotest.(check bool) "unknown structure" true
+    (Mat.generate_dense ~structure:"nope" ~n:3 ~seed:0 = None
+    && Oracle.generate_dense ~structure:"nope" ~n:3 ~seed:0 = None)
+
+let oracle_case_arb =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (s, n, seed) -> Printf.sprintf "%s n=%d seed=%d" s n seed)
+    ( oneofl Mat.structure_names >>= fun s ->
+      int_range 1 96 >>= fun n ->
+      int_range 0 9999 >>= fun seed -> return (s, n, seed) )
+
+let generation_oracle_prop =
+  qtest
+    (QCheck.Test.make ~name:"generate, to_dense, profile = closure oracles"
+       ~count:200 oracle_case_arb (fun (structure, n, seed) ->
+         let d = gen structure ~n ~seed in
+         (match Oracle.generate_dense ~structure ~n ~seed with
+         | Some o -> same_dense d o
+         | None -> false)
+         &&
+         match oracle_mismatch d with
+         | None -> true
+         | Some what -> QCheck.Test.fail_report what))
+
+(* Arbitrary, non-square and nearly-symmetric matrices reach the
+   profile's early exit and the expanders' edge cases. *)
+let arbitrary_oracle_prop =
+  qtest
+    (QCheck.Test.make ~name:"profile, to_dense = oracles (arbitrary matrices)"
+       ~count:500 arbitrary_dense_arb (fun d ->
+         match oracle_mismatch d with
+         | None -> true
+         | Some what -> QCheck.Test.fail_report what))
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let same_vec_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> same_bits x y
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+let dense_kernels_prop =
+  qtest
+    (QCheck.Test.make ~name:"dense kernels = *_reference, bit for bit"
+       ~count:150 oracle_case_arb (fun (structure, n, seed) ->
+         let d = gen structure ~n ~seed in
+         let v = Mat.generate_vec ~n ~seed in
+         same_bits (Kernels.matvec_dense d v) (Kernels.matvec_reference d v)
+         && same_dense (Kernels.matmul_dense d d) (Kernels.matmul_reference d d)
+         && same_vec_outcome
+              (outcome (fun () -> Kernels.solve_dense d v))
+              (outcome (fun () -> Kernels.solve_reference d v))))
+
+(* Arbitrary entries: zeros the matmul skips, pivots that swap rows,
+   singular systems that must fail with the same message, and
+   non-square shapes. *)
+let dense_kernels_arbitrary_prop =
+  qtest
+    (QCheck.Test.make ~name:"dense kernels = *_reference (arbitrary matrices)"
+       ~count:500 arbitrary_dense_arb (fun d ->
+         let r = d.Mat.n_rows and c = d.Mat.n_cols in
+         let v = Array.init c (fun j -> float_of_int (j + 1) /. 3.0) in
+         let t = Mat.dense_init c r (fun i j -> Mat.dense_get d j i) in
+         let w = Array.init r (fun i -> 1.0 -. float_of_int i) in
+         same_bits (Kernels.matvec_dense d v) (Kernels.matvec_reference d v)
+         && same_dense (Kernels.matmul_dense d t) (Kernels.matmul_reference d t)
+         && same_vec_outcome
+              (outcome (fun () -> Kernels.solve_dense d w))
+              (outcome (fun () -> Kernels.solve_reference d w))))
+
+(* ------------------------------------------------------------------ *)
 (* Dimension errors name the shapes                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -351,6 +566,15 @@ let () =
           Alcotest.test_case "exact counts" `Quick test_step_counts;
           Alcotest.test_case "acceptance ratios at n=256" `Quick
             test_step_ratios_at_256;
+        ] );
+      ( "oracles",
+        [
+          Alcotest.test_case "generation grid" `Quick
+            test_generation_matches_oracle;
+          generation_oracle_prop;
+          arbitrary_oracle_prop;
+          dense_kernels_prop;
+          dense_kernels_arbitrary_prop;
         ] );
       ( "errors",
         [
