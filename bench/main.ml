@@ -1894,18 +1894,27 @@ let s10 () =
           answer audited against a single node...@.";
   (* a telemetry sink counts registry index builds: one per world, the
      32 replicas' and the audit's; sandboxes are overlays and build
-     none. The advisory wall probe below includes the sink. *)
-  let t0 = Unix.gettimeofday () in
-  let mo, rebuilds =
-    Gp_telemetry.Tel.with_installed (fun sink ->
-        let mo =
-          Scenario.run ~seed ~audit:true ~declare_standard (scenario "million")
-        in
-        ( mo,
+     none. The run and the audit are timed apart, both with the sink
+     installed. The sink's clock is frozen: span timings feed back into
+     allocation, and the run's minor words must be an exact count,
+     recorded under --quick too. *)
+  let mo, run_wall, run_words, audit_wall, rebuilds =
+    Gp_telemetry.Tel.with_installed ~clock:(Gp_telemetry.Clock.frozen 0.0)
+      (fun sink ->
+        let t0 = Unix.gettimeofday () in
+        let w0 = Gc.minor_words () in
+        let mo = Scenario.run ~seed ~declare_standard (scenario "million") in
+        let w1 = Gc.minor_words () in
+        let t1 = Unix.gettimeofday () in
+        let au = Cluster.audit ~declare_standard mo.Scenario.o_result in
+        let t2 = Unix.gettimeofday () in
+        ( { mo with Scenario.o_audit = Some au },
+          t1 -. t0,
+          w1 -. w0,
+          t2 -. t1,
           Gp_telemetry.Metrics.total sink.Gp_telemetry.Tel.metrics
             "gp_registry_index_rebuilds_total" ))
   in
-  let wall = Unix.gettimeofday () -. t0 in
   Fmt.pr "%a" Scenario.pp_outcome mo;
   assert (Scenario.ok mo);
   assert (mo.Scenario.o_requests >= 1_000_000);
@@ -1941,21 +1950,26 @@ let s10 () =
     mo.Scenario.o_requests;
   record ~experiment:"s10" "million_index_rebuilds_per_request"
     (rebuilds /. float_of_int mo.Scenario.o_requests);
+  let requests = float_of_int mo.Scenario.o_requests in
+  Fmt.pr "minor words: %.1f per request over the run@." (run_words /. requests);
+  record ~experiment:"s10" "million_minor_words_per_request"
+    (run_words /. requests);
   (* wall-clock probes: meaningless under --quick quotas, null there
      (bench-diff skips null) *)
   if !quota < 0.45 then begin
     Fmt.pr "@.wall probe skipped under --quick (recorded as null)@.";
-    record ~experiment:"s10" "million_wall_ns" nan;
+    record ~experiment:"s10" "million_run_wall_ns" nan;
+    record ~experiment:"s10" "million_audit_wall_ns" nan;
     record ~experiment:"s10" "million_req_per_wall_sec" nan
   end
   else begin
-    Fmt.pr "@.wall clock: %.1f s for the audited million (%.0f req/s \
-            including the single-node replay)@."
-      wall
-      (float_of_int mo.Scenario.o_requests /. wall);
-    record ~experiment:"s10" "million_wall_ns" (wall *. 1e9);
-    record ~experiment:"s10" "million_req_per_wall_sec"
-      (float_of_int mo.Scenario.o_requests /. wall)
+    let wall = run_wall +. audit_wall in
+    Fmt.pr "@.wall clock: run %.1f s, audit %.1f s (%.0f req/s including \
+            the single-node replay)@."
+      run_wall audit_wall (requests /. wall);
+    record ~experiment:"s10" "million_run_wall_ns" (run_wall *. 1e9);
+    record ~experiment:"s10" "million_audit_wall_ns" (audit_wall *. 1e9);
+    record ~experiment:"s10" "million_req_per_wall_sec" (requests /. wall)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -6,12 +6,23 @@
 type t = {
   replicas : int list; (* ascending *)
   vnodes : int;
-  points : (string * int) array; (* (hash, replica), sorted by hash *)
+  (* the points, sorted by (hash, replica), as parallel arrays *)
+  prefixes : int array; (* top 62 bits of the hash *)
+  hashes : string array; (* the hash as 16 hex digits: the tie-break *)
+  owners : int array; (* the replica owning the point *)
+  walks : int array array;
+      (* start point -> the distinct replicas clockwise from it, [||]
+         until first asked for; filled in by [walk] *)
 }
 
-(* The first 8 digest bytes as a hex string: compares lexicographically
-   like the integer it encodes, which is all ring order needs. *)
-let hash s = String.sub (Digest.to_hex (Digest.string s)) 0 16
+(* A hash is the first 8 digest bytes: as 16 hex digits they compare
+   lexicographically like the integer they encode, and their top 62
+   bits compare the same way as a non-negative int — so ring order can
+   compare ints and fall back to the hex string only when those bits
+   tie. *)
+let hex d = String.sub (Digest.to_hex d) 0 16
+
+let prefix d = Int64.to_int (Int64.shift_right_logical (String.get_int64_be d 0) 2)
 
 let create ?(vnodes = 64) ~replicas () =
   if replicas = [] then invalid_arg "Hash_ring.create: no replicas";
@@ -21,12 +32,17 @@ let create ?(vnodes = 64) ~replicas () =
     List.concat_map
       (fun r ->
         List.init vnodes (fun v ->
-            (hash (Printf.sprintf "replica-%d#%d" r v), r)))
+            let d = Digest.string (Printf.sprintf "replica-%d#%d" r v) in
+            (hex d, r, prefix d)))
       replicas
     |> Array.of_list
   in
   Array.sort compare points;
-  { replicas; vnodes; points }
+  { replicas; vnodes;
+    prefixes = Array.map (fun (_, _, p) -> p) points;
+    hashes = Array.map (fun (h, _, _) -> h) points;
+    owners = Array.map (fun (_, r, _) -> r) points;
+    walks = Array.make (Array.length points) [||] }
 
 let replicas t = t.replicas
 
@@ -50,34 +66,52 @@ let remove_replica t r =
   | [] -> invalid_arg "Hash_ring.remove_replica: cannot empty the ring"
   | rest -> create ~vnodes:t.vnodes ~replicas:rest ()
 
-(* Index of the first point with hash >= h, wrapping to 0. *)
-let locate t h =
-  let n = Array.length t.points in
+(* Index of the first point with hash >= the key's, wrapping to 0. *)
+let locate t key =
+  let d = Digest.string key in
+  let p = prefix d in
+  let n = Array.length t.prefixes in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if fst t.points.(mid) < h then lo := mid + 1 else hi := mid
+    let q = t.prefixes.(mid) in
+    if q < p || (q = p && t.hashes.(mid) < hex d) then lo := mid + 1
+    else hi := mid
   done;
   if !lo = n then 0 else !lo
 
-let shard t key = snd t.points.(locate t (hash key))
+let shard t key = t.owners.(locate t key)
 
-let successors t key =
-  let n = Array.length t.points in
-  let k = List.length t.replicas in
-  let start = locate t (hash key) in
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n && Hashtbl.length seen < k do
-    let r = snd t.points.((start + !i) mod n) in
-    if not (Hashtbl.mem seen r) then begin
-      Hashtbl.add seen r ();
-      out := r :: !out
-    end;
-    incr i
-  done;
-  List.rev !out
+(* The failover walk from point [start]: each replica once, in ring
+   order. Every replica owns a point, so the scan ends within one lap.
+   Computed on first use and kept in the ring. *)
+let walk t start =
+  match t.walks.(start) with
+  | [||] ->
+    let n = Array.length t.owners in
+    let k = List.length t.replicas in
+    let w = Array.make k 0 in
+    let got = ref 0 and i = ref start in
+    while !got < k do
+      let r = t.owners.(!i) in
+      let j = ref 0 in
+      while !j < !got && w.(!j) <> r do incr j done;
+      if !j = !got then begin
+        w.(!got) <- r;
+        incr got
+      end;
+      i := if !i + 1 = n then 0 else !i + 1
+    done;
+    t.walks.(start) <- w;
+    w
+  | w -> w
+
+let successor t key i =
+  if i < 0 then invalid_arg "Hash_ring.successor: negative index";
+  let w = walk t (locate t key) in
+  w.(i mod Array.length w)
+
+let successors t key = Array.to_list (walk t (locate t key))
 
 let spread t keys =
   let counts = Hashtbl.create 8 in

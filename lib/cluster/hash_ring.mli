@@ -41,6 +41,13 @@ val successors : t -> string -> int list
     appearing once — the failover walk: entry [0] is {!shard}, entry
     [k] is the k-th distinct replica clockwise from it. *)
 
+val successor : t -> string -> int -> int
+(** [successor t key i] is entry [i mod k] of {!successors}, [k] being
+    the number of replicas: the failover target for attempt [i]. The
+    ring remembers each walk it computes, so after the first call for
+    a key's start point this is a lookup plus an array read, building
+    no list or table. Raises [Invalid_argument] on a negative [i]. *)
+
 val spread : t -> string list -> (int * int) list
 (** [(replica, keys owned)] for a key population, ascending by replica
     id — the balance diagnostic. *)

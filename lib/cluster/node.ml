@@ -462,19 +462,18 @@ let read_target w rt rid attempt =
       (* a promoted hot key reads from any of the first [hot_spread]
          ring successors, round-robin per fresh dispatch; retries keep
          walking the same rotation so attempt k still lands elsewhere *)
-      let succ = Hash_ring.successors w.ring key in
-      let k = min w.tuning.hot_spread (List.length succ) in
+      let k =
+        min w.tuning.hot_spread (List.length (Hash_ring.replicas w.ring))
+      in
       let i = (!rot + attempt) mod k in
       if attempt = 0 then incr rot;
-      List.nth succ i
+      Hash_ring.successor w.ring key i
     | _ ->
-      (* first dispatch goes to the shard owner — which is successor 0
-         by construction, so skip the full successor walk on the hot
-         path (it is O(ring points) and dominates large-fleet runs) *)
+      (* first dispatch goes to the shard owner — successor 0 by
+         construction — without building the ring walk the retries
+         read *)
       if attempt = 0 then Hash_ring.shard w.ring key
-      else
-        let succ = Hash_ring.successors w.ring key in
-        List.nth succ (attempt mod List.length succ)
+      else Hash_ring.successor w.ring key attempt
   end
   else 1 + ((rid + attempt) mod w.n_replicas)
 

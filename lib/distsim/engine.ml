@@ -95,78 +95,137 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Event queue: binary heap on (time, seq) for determinism             *)
+(* Event queue: a slot heap on (time, seq) for determinism             *)
 (* ------------------------------------------------------------------ *)
 
+(* A binary min-heap of (time, seq, slot) triples held in parallel
+   unboxed arrays and sifted with a hole instead of swaps. An event's
+   payload — its message and a word packing src, dst and the timer
+   flag — sits in a slot that never moves while the event is queued;
+   a popped event's slot goes back on a free stack for the next push.
+   So the sifts move only ints and unboxed floats: no pointer write
+   and no boxed float per event. Seqs are unique, so (time, seq) is a
+   strict total order and the pop order does not depend on the heap's
+   layout. *)
 module Eq = struct
-  type 'msg ev = {
-    t : float;
-    seq : int;
-    src : int;
-    dst : int;
-    msg : 'msg;
-    tmr : bool; (* a self-scheduled timer, outside the message metrics *)
+  type 'msg t = {
+    mutable time : float array; (* heap position -> event time *)
+    mutable seq : int array; (* heap position -> insertion seq *)
+    mutable slot : int array; (* heap position -> payload slot *)
+    mutable len : int;
+    mutable msg : 'msg array; (* slot -> message *)
+    mutable meta : int array; (* slot -> packed src/dst/timer *)
+    mutable free : int array; (* stack of vacant slots *)
+    mutable nfree : int;
   }
 
-  type 'msg t = { mutable a : 'msg ev array; mutable len : int }
+  let create () =
+    { time = [||]; seq = [||]; slot = [||]; len = 0; msg = [||];
+      meta = [||]; free = [||]; nfree = 0 }
 
-  let create () = { a = [||]; len = 0 }
+  (* Double every array; the new slots become the free stack (a full
+     heap has no vacant slot), lowest on top. *)
+  let grow q m =
+    let cap = Array.length q.time in
+    let cap' = max 16 (2 * cap) in
+    let extend a fill =
+      let b = Array.make cap' fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    q.time <- extend q.time 0.0;
+    q.seq <- extend q.seq 0;
+    q.slot <- extend q.slot 0;
+    q.msg <- extend q.msg m;
+    q.meta <- extend q.meta 0;
+    q.free <- Array.init cap' (fun i -> cap' - 1 - i);
+    q.nfree <- cap' - cap
 
-  let lt x y = x.t < y.t || (x.t = y.t && x.seq < y.seq)
+  let is_empty q = q.len = 0
 
-  let push q ev =
-    if q.len = Array.length q.a then begin
-      let cap = max 16 (2 * q.len) in
-      let fresh = Array.make cap ev in
-      Array.blit q.a 0 fresh 0 q.len;
-      q.a <- fresh
-    end;
-    q.a.(q.len) <- ev;
+  (* The earliest event's time; [q] must not be empty. *)
+  let[@inline] min_time q = q.time.(0)
+
+  (* The (time, seq) comparisons are written out at each site: passed
+     through a helper, even an inlined one, the times get boxed. *)
+  let[@inline] push q t seq meta m =
+    if q.len = Array.length q.time then grow q m;
+    q.nfree <- q.nfree - 1;
+    let s = q.free.(q.nfree) in
+    q.msg.(s) <- m;
+    q.meta.(s) <- meta;
+    let i = ref q.len in
     q.len <- q.len + 1;
-    let i = ref (q.len - 1) in
     while
       !i > 0
       &&
       let p = (!i - 1) / 2 in
-      lt q.a.(!i) q.a.(p)
+      t < q.time.(p) || (t = q.time.(p) && seq < q.seq.(p))
     do
       let p = (!i - 1) / 2 in
-      let tmp = q.a.(p) in
-      q.a.(p) <- q.a.(!i);
-      q.a.(!i) <- tmp;
+      q.time.(!i) <- q.time.(p);
+      q.seq.(!i) <- q.seq.(p);
+      q.slot.(!i) <- q.slot.(p);
       i := p
-    done
+    done;
+    q.time.(!i) <- t;
+    q.seq.(!i) <- seq;
+    q.slot.(!i) <- s
 
-  let is_empty q = q.len = 0
-
-  (* The earliest event; [q] must not be empty. *)
+  (* Remove the earliest event and return its slot, whose [msg] and
+     [meta] stay readable until the next push; [q] must not be
+     empty. *)
   let pop q =
-    let top = q.a.(0) in
-    q.len <- q.len - 1;
-    if q.len > 0 then begin
-      q.a.(0) <- q.a.(q.len);
+    let top = q.slot.(0) in
+    let n = q.len - 1 in
+    q.len <- n;
+    if n > 0 then begin
+      let t = q.time.(n) and seq = q.seq.(n) and s = q.slot.(n) in
       let i = ref 0 in
       let continue = ref true in
       while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < q.len && lt q.a.(l) q.a.(!smallest) then smallest := l;
-        if r < q.len && lt q.a.(r) q.a.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = q.a.(!smallest) in
-          q.a.(!smallest) <- q.a.(!i);
-          q.a.(!i) <- tmp;
-          i := !smallest
+        let l = (2 * !i) + 1 in
+        if l >= n then continue := false
+        else begin
+          let r = l + 1 in
+          let c =
+            if
+              r < n
+              && (q.time.(r) < q.time.(l)
+                 || (q.time.(r) = q.time.(l) && q.seq.(r) < q.seq.(l)))
+            then r
+            else l
+          in
+          if q.time.(c) < t || (q.time.(c) = t && q.seq.(c) < seq) then begin
+            q.time.(!i) <- q.time.(c);
+            q.seq.(!i) <- q.seq.(c);
+            q.slot.(!i) <- q.slot.(c);
+            i := c
+          end
+          else continue := false
         end
-        else continue := false
-      done
+      done;
+      q.time.(!i) <- t;
+      q.seq.(!i) <- seq;
+      q.slot.(!i) <- s
     end;
+    q.free.(q.nfree) <- top;
+    q.nfree <- q.nfree + 1;
     top
 end
 
 (* ------------------------------------------------------------------ *)
 (* Simulation                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* The simulated clock: an all-float record, so setting it stores an
+   unboxed float. *)
+type clock = { mutable now : float }
+
+(* An event's src, dst and timer flag packed in one int. *)
+let node_bits = 30
+let node_mask = (1 lsl node_bits) - 1
+let pack ~src ~dst ~tmr = (((src lsl node_bits) lor dst) lsl 1) lor Bool.to_int tmr
 
 (* The simulation core is untouched by telemetry: the RNG stream, event
    order and metrics are computed exactly as before, and the wrapper only
@@ -175,10 +234,11 @@ end
 let run_core (type s m) ~(config : m config) (topo : Topology.t)
     (algo : (s, m) algorithm) : result =
   let n = Topology.num_nodes topo in
+  if n > node_mask then invalid_arg "Engine.run: too many nodes";
   let rng = Random.State.make [| config.seed |] in
   let queue : m Eq.t = Eq.create () in
   let seq = ref 0 in
-  let now = ref 0.0 in
+  let clock = { now = 0.0 } in
   let sent = ref 0 and delivered = ref 0 and dropped = ref 0 in
   let events = ref 0 in
   let local = Array.make n 0 in
@@ -210,13 +270,17 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
           groups;
         partitions := (island, from_, until) :: !partitions)
     config.failures;
+  let partitions = !partitions and drop_prob = !drop_prob in
+  let any_byzantine = Hashtbl.length byzantine > 0 in
   let partitioned src dst =
-    List.exists
-      (fun (island, from_, until) ->
-        !now >= from_ && !now < until && island.(src) <> island.(dst))
-      !partitions
+    partitions <> []
+    && List.exists
+         (fun (island, from_, until) ->
+           clock.now >= from_ && clock.now < until
+           && island.(src) <> island.(dst))
+         partitions
   in
-  let is_crashed node = !now >= crashed_at.(node) in
+  let is_crashed node = clock.now >= crashed_at.(node) in
   let delay () =
     match config.timing with
     | Synchronous -> 1.0
@@ -232,17 +296,19 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
       incr sent;
       sent_by.(src) <- sent_by.(src) + 1;
       let msg =
-        match Hashtbl.find_opt byzantine src with
-        | Some corrupt -> corrupt msg
-        | None -> msg
+        if not any_byzantine then msg
+        else
+          match Hashtbl.find_opt byzantine src with
+          | Some corrupt -> corrupt msg
+          | None -> msg
       in
       if partitioned src dst then incr dropped
-      else if !drop_prob > 0.0 && Random.State.float rng 1.0 < !drop_prob then
+      else if drop_prob > 0.0 && Random.State.float rng 1.0 < drop_prob then
         incr dropped
       else begin
         incr seq;
-        Eq.push queue
-          { Eq.t = !now +. delay (); seq = !seq; src; dst; msg; tmr = false }
+        Eq.push queue (clock.now +. delay ()) !seq (pack ~src ~dst ~tmr:false)
+          msg
       end
     end
   in
@@ -253,15 +319,17 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
     if (not (is_crashed i)) && not halted.(i) then begin
       incr seq;
       Eq.push queue
-        { Eq.t = !now +. Float.max 1e-9 delay; seq = !seq; src = i; dst = i;
-          msg; tmr = true }
+        (clock.now +. Float.max 1e-9 delay)
+        !seq
+        (pack ~src:i ~dst:i ~tmr:true)
+        msg
     end
   in
   let ctx_of i =
     {
       self = i;
       neighbors = Topology.neighbors topo i;
-      now = (fun () -> !now);
+      now = (fun () -> clock.now);
       send = (fun dst msg -> send_from i dst msg);
       timer = (fun ~delay msg -> timer_at i delay msg);
       charge = (fun k -> local.(i) <- local.(i) + k);
@@ -279,19 +347,24 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
   while !continue do
     if Eq.is_empty queue then continue := false
     else begin
-      let ev = Eq.pop queue in
-      now := ev.Eq.t;
+      clock.now <- Eq.min_time queue;
+      let slot = Eq.pop queue in
       incr events;
-      if !now > config.max_time || !events > config.max_events then
+      if clock.now > config.max_time || !events > config.max_events then
         continue := false
-      else if (not (is_crashed ev.Eq.dst)) && not halted.(ev.Eq.dst) then begin
-        if not ev.Eq.tmr then begin
-          incr delivered;
-          delivered_to.(ev.Eq.dst) <- delivered_to.(ev.Eq.dst) + 1
-        end;
-        states.(ev.Eq.dst) <-
-          algo.on_message ctxs.(ev.Eq.dst) states.(ev.Eq.dst)
-            ~src:ev.Eq.src ev.Eq.msg
+      else begin
+        let meta = queue.Eq.meta.(slot) in
+        let dst = (meta lsr 1) land node_mask in
+        if (not (is_crashed dst)) && not halted.(dst) then begin
+          if meta land 1 = 0 then begin
+            incr delivered;
+            delivered_to.(dst) <- delivered_to.(dst) + 1
+          end;
+          states.(dst) <-
+            algo.on_message ctxs.(dst) states.(dst)
+              ~src:(meta lsr (node_bits + 1))
+              queue.Eq.msg.(slot)
+        end
       end
     end
   done;
@@ -306,7 +379,7 @@ let run_core (type s m) ~(config : m config) (topo : Topology.t)
         local_steps = local;
         sent_by;
         delivered_to;
-        finish_time = !now;
+        finish_time = clock.now;
         events = !events;
       };
   }

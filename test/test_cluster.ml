@@ -103,6 +103,84 @@ let ring_join_leave_roundtrip_prop =
          Hash_ring.shard back key = Hash_ring.shard ring key
          && Hash_ring.successors back key = Hash_ring.successors ring key))
 
+(* The ring as it was placed before integer-prefix search and remembered
+   walks: points are (16-hex hash, replica) pairs sorted with [compare],
+   a key goes to the first point whose hash string is >= its own, and
+   the failover walk collects distinct replicas clockwise from there.
+   Rebuilt from the ring's replica set and vnodes alone. *)
+let reference_walk ring key =
+  let hash s = String.sub (Digest.to_hex (Digest.string s)) 0 16 in
+  let points =
+    Hash_ring.replicas ring
+    |> List.concat_map (fun r ->
+           List.init (Hash_ring.vnodes ring) (fun v ->
+               (hash (Printf.sprintf "replica-%d#%d" r v), r)))
+    |> Array.of_list
+  in
+  Array.sort compare points;
+  let n = Array.length points in
+  let h = hash key in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if fst points.(mid) < h then lo := mid + 1 else hi := mid
+  done;
+  let start = if !lo = n then 0 else !lo in
+  let k = List.length (Hash_ring.replicas ring) in
+  let seen = Hashtbl.create 8 in
+  let out = ref [] in
+  let i = ref 0 in
+  while !i < n && Hashtbl.length seen < k do
+    let r = snd points.((start + !i) mod n) in
+    if not (Hashtbl.mem seen r) then begin
+      Hashtbl.add seen r ();
+      out := r :: !out
+    end;
+    incr i
+  done;
+  List.rev !out
+
+(* Random replica sets (any ids), optionally grown by a join and shrunk
+   by a leave, probed with random keys at random walk positions. *)
+let ring_reference_prop =
+  qtest
+    (QCheck.Test.make
+       ~name:"hash ring: shard and successor match the string-compare walk"
+       ~count:150
+       QCheck.(
+         quad
+           (pair (list_of_size Gen.(int_range 1 12) (int_range 0 500))
+              (int_range 1 64))
+           (pair (option (int_range 501 600)) (option small_nat))
+           (list_of_size Gen.(int_range 1 20) string)
+           (list_of_size Gen.(int_range 1 6) (int_range 0 100)))
+       (fun ((ids, vnodes), (join, leave), keys, positions) ->
+         let ring = Hash_ring.create ~vnodes ~replicas:ids () in
+         let ring =
+           match join with
+           | Some r -> Hash_ring.add_replica ring r
+           | None -> ring
+         in
+         let ring =
+           match (leave, Hash_ring.replicas ring) with
+           | Some i, (_ :: _ :: _ as reps) ->
+             Hash_ring.remove_replica ring (List.nth reps (i mod List.length reps))
+           | _ -> ring
+         in
+         let k = List.length (Hash_ring.replicas ring) in
+         List.for_all
+           (fun key ->
+             let walk = reference_walk ring key in
+             Hash_ring.shard ring key = List.hd walk
+             && Hash_ring.successors ring key = walk
+             && List.for_all
+                  (fun i ->
+                    let r = Hash_ring.successor ring key i in
+                    r = List.nth walk (i mod k)
+                    && r = List.nth (Hash_ring.successors ring key) (i mod k))
+                  positions)
+           keys))
+
 let test_ring_elastic_invalid () =
   let ring = ring_of 3 16 in
   Alcotest.check_raises "duplicate join"
@@ -113,7 +191,10 @@ let test_ring_elastic_invalid () =
     (fun () -> ignore (Hash_ring.remove_replica ring 9));
   Alcotest.check_raises "cannot empty the ring"
     (Invalid_argument "Hash_ring.remove_replica: cannot empty the ring")
-    (fun () -> ignore (Hash_ring.remove_replica (ring_of 1 16) 1))
+    (fun () -> ignore (Hash_ring.remove_replica (ring_of 1 16) 1));
+  Alcotest.check_raises "negative successor index"
+    (Invalid_argument "Hash_ring.successor: negative index")
+    (fun () -> ignore (Hash_ring.successor ring "k" (-1)))
 
 let test_ring_spread () =
   let ring = ring_of 4 64 in
@@ -472,6 +553,7 @@ let () =
           ring_join_prop;
           ring_leave_prop;
           ring_join_leave_roundtrip_prop;
+          ring_reference_prop;
           Alcotest.test_case "spread" `Quick test_ring_spread;
           Alcotest.test_case "invalid args" `Quick test_ring_invalid;
           Alcotest.test_case "elastic invalid args" `Quick

@@ -459,6 +459,99 @@ let test_golden_streams () =
     ~finish:3.0 ~local:2
 
 (* ------------------------------------------------------------------ *)
+(* Event order: the engine's heap against a sorted-list model          *)
+(* ------------------------------------------------------------------ *)
+
+(* A schedule: root events queued at time 0, then every delivered event
+   [x] queues [fanout.(x mod |fanout|)] children, child [j] taking its
+   (delay code, kind) from [plan.((x + j) mod |plan|)], until [limit]
+   events exist. A delay code [c] is a timer of [0.5 * c]; a send kind
+   goes to the other node and takes the synchronous 1.0. Half-unit
+   delays sum exactly, so equal times are common. *)
+type schedule = {
+  roots : (int * bool) list;
+  fanout : int array;
+  plan : (int * bool) array;
+  limit : int;
+}
+
+let delay_of (code, send) = if send then 1.0 else 0.5 *. float_of_int code
+
+(* The model queue: a list sorted by (time, seq). A new event goes
+   after every queued one with time <= its own (a later seq). *)
+let model_order s =
+  let next = ref 0 in
+  let rec insert ev = function
+    | [] -> [ ev ]
+    | ((t, _) as e) :: rest when t <= fst ev -> e :: insert ev rest
+    | rest -> ev :: rest
+  in
+  let queue = ref [] in
+  let schedule now d =
+    queue := insert (now +. delay_of d, !next) !queue;
+    incr next
+  in
+  List.iter (schedule 0.0) s.roots;
+  let out = ref [] in
+  let rec drain () =
+    match !queue with
+    | [] -> ()
+    | ((t, x) as ev) :: rest ->
+      queue := rest;
+      out := ev :: !out;
+      for j = 0 to s.fanout.(x mod Array.length s.fanout) - 1 do
+        if !next < s.limit then
+          schedule t s.plan.((x + j) mod Array.length s.plan)
+      done;
+      drain ()
+  in
+  drain ();
+  List.rev !out
+
+(* The same schedule through Engine.run on two nodes; events carry
+   their id and the handler logs (now, id) on delivery. *)
+let engine_order s =
+  let next = ref 0 and log = ref [] in
+  let emit (ctx : int Engine.ctx) ((_, send) as d) =
+    let x = !next in
+    incr next;
+    if send then ctx.Engine.send (1 - ctx.Engine.self) x
+    else ctx.Engine.timer ~delay:(delay_of d) x
+  in
+  let algo =
+    {
+      Engine.algo_name = "event-order";
+      initial =
+        (fun ctx -> if ctx.Engine.self = 0 then List.iter (emit ctx) s.roots);
+      on_message =
+        (fun ctx () ~src:_ x ->
+          log := (ctx.Engine.now (), x) :: !log;
+          for j = 0 to s.fanout.(x mod Array.length s.fanout) - 1 do
+            if !next < s.limit then
+              emit ctx s.plan.((x + j) mod Array.length s.plan)
+          done);
+    }
+  in
+  ignore (Engine.run ~config:(config ()) (Topology.complete 2) algo);
+  List.rev !log
+
+let event_order_prop =
+  let step = QCheck.(pair (int_range 1 4) bool) in
+  qtest
+    (QCheck.Test.make
+       ~name:"engine delivers in (time, seq) order, ties and growth included"
+       ~count:100
+       QCheck.(
+         quad
+           (list_of_size Gen.(int_range 0 300) step)
+           (array_of_size Gen.(int_range 1 5) (int_range 0 3))
+           (array_of_size Gen.(int_range 1 7) step)
+           (int_range 0 800))
+       (fun (roots, fanout, plan, limit) ->
+         let s = { roots; fanout; plan; limit } in
+         engine_order s = model_order s))
+
+(* ------------------------------------------------------------------ *)
 (* Partitions                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -680,7 +773,7 @@ let () =
       ( "engine",
         [ Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "golden streams" `Quick test_golden_streams;
-          telemetry_transparent_prop ] );
+          telemetry_transparent_prop; event_order_prop ] );
       ( "leader election",
         [
           Alcotest.test_case "LCR elects max" `Quick test_lcr_elects_max;
