@@ -1603,6 +1603,41 @@ let s7 () =
           streaming digest is bit-identical to the dossiers@."
     outcome.Flight.rep_matched outcome.Flight.rep_total
     (List.length outcome.Flight.rep_diverged);
+  (* What a served lint miss allocates: parse, check and diagnostics
+     rendering through [Server.handle] with caching on and the flight
+     recorder off, over distinct programs of the served workload's
+     shape (rendered generated blocks under a key comment). The warm
+     stream above never parses, so this is its own probe; the count is
+     exact for a fixed build, so the mean is gated under --quick too. *)
+  let lint_words, lint_misses =
+    let config = { Server.default_config with flight_capacity = 0 } in
+    let server = Server.create ~config ~declare_standard () in
+    let program k =
+      Request.Lint
+        { source =
+            Printf.sprintf "// lint miss key %d\n%s" k
+              (Gp_stllint.Render.to_source
+                 (Gp_stllint.Corpus.generate ~blocks:(1 + (k mod 4))
+                    ~buggy_every:(if k mod 3 = 0 then 2 else 0))) }
+    in
+    let serve reqs =
+      List.iter
+        (fun r ->
+          let rsp = Server.handle server r in
+          assert (Request.ok rsp && not rsp.Request.rsp_cached))
+        reqs
+    in
+    serve (List.init 40 (fun k -> program (1000 + k)));
+    let reqs = List.init 200 program in
+    Gc.full_major ();
+    let m0 = Gc.minor_words () in
+    serve reqs;
+    let m1 = Gc.minor_words () in
+    ((m1 -. m0) /. float_of_int (List.length reqs), List.length reqs)
+  in
+  Fmt.pr "lint miss through Server.handle: %.1f minor words (mean of %d \
+          distinct programs)@."
+    lint_words lint_misses;
   record ~experiment:"s7" "wire_legacy_bytes_per_request" legacy_bytes;
   record ~experiment:"s7" "wire_direct_bytes_per_request" direct_bytes;
   record ~experiment:"s7" "wire_alloc_reduction_speedup" reduction;
@@ -1613,7 +1648,8 @@ let s7 () =
   record ~experiment:"s7" "replay_diverged_pct"
     (100.0
     *. float_of_int (List.length outcome.Flight.rep_diverged)
-    /. fn)
+    /. fn);
+  record ~experiment:"s7" "lint_miss_minor_words" lint_words
 
 (* ------------------------------------------------------------------ *)
 (* S8: empirical complexity verification (ISSUE 8 / ROADMAP item 1)    *)

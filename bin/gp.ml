@@ -664,7 +664,8 @@ let workload_cmd =
 (* Run a representative slice of each subsystem under an installed
    telemetry sink and export the Chrome trace. The slices reuse the same
    worlds the other subcommands exercise: the standard registry, the
-   STLlint corpus, the optimizer demo set, a 16-node election. *)
+   STLlint corpus as source text, the optimizer demo set, a 16-node
+   election. *)
 let trace_cmd =
   let pipeline =
     Arg.(value
@@ -727,10 +728,13 @@ let trace_cmd =
         (Registry.concepts reg)
     in
     let do_lint () =
-      List.iter
-        (fun (c : Gp_stllint.Corpus.case) ->
-          ignore (Gp_stllint.Interp.check c.Gp_stllint.Corpus.program))
-        Gp_stllint.Corpus.all
+      (* from source text, as a served lint miss runs: the trace shows
+         stllint.parse beside stllint.check *)
+      let open Gp_stllint in
+      List.map
+        (fun (c : Corpus.case) -> Render.to_source c.Corpus.program)
+        Corpus.all
+      |> List.iter (fun src -> ignore (Parser.check_source src))
     in
     let do_optimize () =
       let open Gp_simplicissimus in
@@ -1442,6 +1446,10 @@ let bench_diff_cmd =
                     else if ends_with "_residual" name then
                       ( nv > ov +. tolerance,
                         Printf.sprintf "%.3f -> %.3f" ov nv )
+                    else if ends_with "_per_wall_sec" name then
+                      (* rates: higher-better *)
+                      ( nv < ov *. (1.0 -. tolerance),
+                        Printf.sprintf "%.0f/s -> %.0f/s" ov nv )
                     else if ends_with "_pct" name then
                       ( nv > ov +. (tolerance *. 100.0),
                         Printf.sprintf "%.2f%% -> %.2f%%" ov nv )

@@ -123,7 +123,10 @@ let next_token st =
       | _ -> ()
     in
     go ();
-    Tint (int_of_string (Buffer.contents buf))
+    (match int_of_string (Buffer.contents buf) with
+    | k -> Tint k
+    | exception Failure _ ->
+      error st "integer literal %s is out of range" (Buffer.contents buf))
   | Some c when is_id_char c ->
     let buf = Buffer.create 8 in
     let rec go () =

@@ -64,10 +64,18 @@ let tokenize src =
         incr i
       done;
       let text = String.sub src start (!i - start) in
-      toks :=
-        (if String.contains text '.' then Tfloat (float_of_string text)
-         else Tint (int_of_string text))
-        :: !toks
+      let tok =
+        if String.contains text '.' then
+          match float_of_string text with
+          | x -> Tfloat x
+          | exception Failure _ -> fail "at %d: malformed number %s" start text
+        else
+          match int_of_string text with
+          | k -> Tint k
+          | exception Failure _ ->
+            fail "at %d: integer literal %s is out of range" start text
+      in
+      toks := tok :: !toks
     | c when is_id c ->
       let start = !i in
       while (match peek () with Some c -> is_id c | None -> false) do

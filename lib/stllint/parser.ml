@@ -34,92 +34,156 @@
    Whether a bare identifier argument is a container range, an iterator,
    or an opaque predicate is resolved against the declarations seen so
    far — the same contextual typing a real frontend performs. Comments
-   are [// ...]. *)
+   are [// ...].
+
+   The lexer is a cursor over the source string: an int position and
+   line, characters read with [String.unsafe_get] behind explicit bounds
+   checks, identifiers cut out with one [String.sub] of their span and
+   integers accumulated in place. Punctuation tokens are constant
+   constructors, so the parser compares immediates. *)
 
 exception Parse_error of { line : int; message : string }
 
 type token =
   | Tid of string
   | Tint of int
-  | Tp of string (* punctuation *)
+  | Lparen
+  | Rparen
+  | Lbrace
+  | Rbrace
+  | Comma
+  | Semi
+  | Star
+  | Assign
+  | Dot
+  | Lt
+  | Gt
+  | Plus_plus
+  | Minus_minus
+  | Bang_eq
+  | Eq_eq
+  | Dot_dot
   | Teof
 
-type lexer = { src : string; mutable pos : int; mutable line : int }
+let punct_text = function
+  | Lparen -> "("
+  | Rparen -> ")"
+  | Lbrace -> "{"
+  | Rbrace -> "}"
+  | Comma -> ","
+  | Semi -> ";"
+  | Star -> "*"
+  | Assign -> "="
+  | Dot -> "."
+  | Lt -> "<"
+  | Gt -> ">"
+  | Plus_plus -> "++"
+  | Minus_minus -> "--"
+  | Bang_eq -> "!="
+  | Eq_eq -> "=="
+  | Dot_dot -> ".."
+  | Tid _ | Tint _ | Teof -> assert false
+
+type lexer = { src : string; len : int; mutable pos : int; mutable line : int }
 
 let error lx fmt =
   Fmt.kstr (fun message -> raise (Parse_error { line = lx.line; message })) fmt
 
-let peek lx = if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
-
-let advance lx =
-  (match peek lx with Some '\n' -> lx.line <- lx.line + 1 | _ -> ());
-  lx.pos <- lx.pos + 1
+let is_digit c = c >= '0' && c <= '9'
 
 let is_id c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-  || c = '_'
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_'
 
+let second_is lx c =
+  lx.pos + 1 < lx.len && String.unsafe_get lx.src (lx.pos + 1) = c
+
+(* Whitespace and [//] comments; the comment's newline is whitespace. *)
 let rec skip_ws lx =
-  match peek lx with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance lx;
-    skip_ws lx
-  | Some '/' when lx.pos + 1 < String.length lx.src && lx.src.[lx.pos + 1] = '/'
-    ->
-    while peek lx <> None && peek lx <> Some '\n' do
-      advance lx
-    done;
-    skip_ws lx
-  | _ -> ()
+  if lx.pos < lx.len then
+    match String.unsafe_get lx.src lx.pos with
+    | ' ' | '\t' | '\r' ->
+      lx.pos <- lx.pos + 1;
+      skip_ws lx
+    | '\n' ->
+      lx.pos <- lx.pos + 1;
+      lx.line <- lx.line + 1;
+      skip_ws lx
+    | '/' when second_is lx '/' ->
+      let p = ref (lx.pos + 2) in
+      while !p < lx.len && String.unsafe_get lx.src !p <> '\n' do
+        incr p
+      done;
+      lx.pos <- !p;
+      skip_ws lx
+    | _ -> ()
 
-let two_char lx a b =
-  peek lx = Some a
-  && lx.pos + 1 < String.length lx.src
-  && lx.src.[lx.pos + 1] = b
+let punct lx width tok =
+  lx.pos <- lx.pos + width;
+  tok
+
+(* A digit run from [start], accumulated in place; a literal past
+   [max_int] is a parse error, not an [int_of_string] failure. *)
+let rec lex_int lx start v =
+  let p = lx.pos in
+  if p < lx.len && is_digit (String.unsafe_get lx.src p) then begin
+    let d = Char.code (String.unsafe_get lx.src p) - Char.code '0' in
+    lx.pos <- p + 1;
+    if v > (max_int - d) / 10 then begin
+      while lx.pos < lx.len && is_digit (String.unsafe_get lx.src lx.pos) do
+        lx.pos <- lx.pos + 1
+      done;
+      error lx "integer literal %s is out of range"
+        (String.sub lx.src start (lx.pos - start))
+    end;
+    lex_int lx start ((v * 10) + d)
+  end
+  else Tint v
 
 let next lx =
   skip_ws lx;
-  match peek lx with
-  | None -> Teof
-  | Some c when c >= '0' && c <= '9' ->
-    let b = Buffer.create 4 in
-    while (match peek lx with Some c when c >= '0' && c <= '9' -> true | _ -> false) do
-      Buffer.add_char b (Option.get (peek lx));
-      advance lx
-    done;
-    Tint (int_of_string (Buffer.contents b))
-  | Some c when is_id c ->
-    let b = Buffer.create 8 in
-    while (match peek lx with Some c when is_id c -> true | _ -> false) do
-      Buffer.add_char b (Option.get (peek lx));
-      advance lx
-    done;
-    Tid (Buffer.contents b)
-  | Some _ when two_char lx '+' '+' ->
-    advance lx;
-    advance lx;
-    Tp "++"
-  | Some _ when two_char lx '-' '-' ->
-    advance lx;
-    advance lx;
-    Tp "--"
-  | Some _ when two_char lx '!' '=' ->
-    advance lx;
-    advance lx;
-    Tp "!="
-  | Some _ when two_char lx '=' '=' ->
-    advance lx;
-    advance lx;
-    Tp "=="
-  | Some _ when two_char lx '.' '.' ->
-    advance lx;
-    advance lx;
-    Tp ".."
-  | Some (( '(' | ')' | '{' | '}' | ',' | ';' | '*' | '=' | '.' | '<' | '>' ) as c)
-    ->
-    advance lx;
-    Tp (String.make 1 c)
-  | Some c -> error lx "unexpected character %c" c
+  if lx.pos >= lx.len then Teof
+  else
+    match String.unsafe_get lx.src lx.pos with
+    | '0' .. '9' -> lex_int lx lx.pos 0
+    | c when is_id c ->
+      let start = lx.pos in
+      let p = ref (start + 1) in
+      while !p < lx.len && is_id (String.unsafe_get lx.src !p) do
+        incr p
+      done;
+      lx.pos <- !p;
+      Tid (String.sub lx.src start (!p - start))
+    | '+' when second_is lx '+' -> punct lx 2 Plus_plus
+    | '-' when second_is lx '-' -> punct lx 2 Minus_minus
+    | '!' when second_is lx '=' -> punct lx 2 Bang_eq
+    | '=' when second_is lx '=' -> punct lx 2 Eq_eq
+    | '.' when second_is lx '.' -> punct lx 2 Dot_dot
+    | '(' -> punct lx 1 Lparen
+    | ')' -> punct lx 1 Rparen
+    | '{' -> punct lx 1 Lbrace
+    | '}' -> punct lx 1 Rbrace
+    | ',' -> punct lx 1 Comma
+    | ';' -> punct lx 1 Semi
+    | '*' -> punct lx 1 Star
+    | '=' -> punct lx 1 Assign
+    | '.' -> punct lx 1 Dot
+    | '<' -> punct lx 1 Lt
+    | '>' -> punct lx 1 Gt
+    | c -> error lx "unexpected character %c" c
+
+(* Whether the token after the current one is a lone '=', without
+   building it. *)
+let next_is_assign lx =
+  let save_pos = lx.pos and save_line = lx.line in
+  skip_ws lx;
+  let r =
+    lx.pos < lx.len
+    && String.unsafe_get lx.src lx.pos = '='
+    && not (second_is lx '=')
+  in
+  lx.pos <- save_pos;
+  lx.line <- save_line;
+  r
 
 type stream = {
   lx : lexer;
@@ -129,22 +193,21 @@ type stream = {
 }
 
 let mk src =
-  let lx = { src; pos = 0; line = 1 } in
+  let lx = { src; len = String.length src; pos = 0; line = 1 } in
   { lx; tok = next lx; containers = []; iters = [] }
 
 let shift s = s.tok <- next s.lx
 
+(* [p] is punctuation: a constant constructor, so [==] is exact. *)
 let expect s p =
-  match s.tok with
-  | Tp q when q = p -> shift s
-  | _ -> error s.lx "expected '%s'" p
+  if s.tok == p then shift s else error s.lx "expected '%s'" (punct_text p)
 
 let accept s p =
-  match s.tok with
-  | Tp q when q = p ->
+  s.tok == p
+  && begin
     shift s;
     true
-  | _ -> false
+  end
 
 let ident s =
   match s.tok with
@@ -153,24 +216,32 @@ let ident s =
     x
   | _ -> error s.lx "expected an identifier"
 
-(* One token of extra lookahead, without consuming. *)
-let peek_ahead s =
-  let save_pos = s.lx.pos and save_line = s.lx.line in
-  let t = next s.lx in
-  s.lx.pos <- save_pos;
-  s.lx.line <- save_line;
-  t
+let rec is_iter x = function
+  | [] -> false
+  | y :: ys -> String.equal x y || is_iter x ys
+
+let rec is_container x = function
+  | [] -> false
+  | (y, _) :: ys -> String.equal x y || is_container x ys
+
+let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
 
 (* Source text for labels: the first line of the statement, trimmed, so a
-   compound statement's diagnostic points at its head. *)
+   compound statement's diagnostic points at its head. Index scans find
+   that line; only it is copied. *)
 let label_of lx start stop =
-  let text = String.trim (String.sub lx.src start (stop - start)) in
-  let head =
-    match String.index_opt text '\n' with
-    | Some i -> String.sub text 0 i
-    | None -> text
-  in
-  String.trim head
+  let a = ref start in
+  while !a < stop && is_ws (String.unsafe_get lx.src !a) do
+    incr a
+  done;
+  let e = ref !a in
+  while !e < stop && String.unsafe_get lx.src !e <> '\n' do
+    incr e
+  done;
+  while !e > !a && is_ws (String.unsafe_get lx.src (!e - 1)) do
+    decr e
+  done;
+  String.sub lx.src !a (!e - !a)
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
@@ -181,35 +252,31 @@ let rec parse_expr s =
   | Tint k ->
     shift s;
     Ast.Const k
-  | Tp "*" ->
+  | Star ->
     shift s;
     Ast.Deref (ident s)
   | Tid f ->
     shift s;
-    if accept s "(" then begin
-      let args =
-        if accept s ")" then []
-        else begin
-          let rec go acc =
-            let e = parse_expr s in
-            if accept s "," then go (e :: acc) else List.rev (e :: acc)
-          in
-          let args = go [] in
-          expect s ")";
-          args
-        end
-      in
-      Ast.Call (f, args)
-    end
+    if accept s Lparen then
+      Ast.Call (f, if accept s Rparen then [] else parse_exprs s [])
     else Ast.Var f
   | _ -> error s.lx "expected an expression"
 
+(* A non-empty comma-separated list up to its closing ')'. *)
+and parse_exprs s acc =
+  let e = parse_expr s in
+  if accept s Comma then parse_exprs s (e :: acc)
+  else begin
+    expect s Rparen;
+    List.rev (e :: acc)
+  end
+
 let parse_cond s =
   match s.tok with
-  | Tid a when List.mem a s.iters -> (
+  | Tid a when is_iter a s.iters -> (
     let a = ident s in
-    if accept s "!=" then Ast.Iter_ne (a, ident s)
-    else if accept s "==" then Ast.Iter_eq (a, ident s)
+    if accept s Bang_eq then Ast.Iter_ne (a, ident s)
+    else if accept s Eq_eq then Ast.Iter_eq (a, ident s)
     else error s.lx "expected '!=' or '==' after iterator %s" a)
   | _ -> Ast.Pred (parse_expr s)
 
@@ -222,35 +289,30 @@ let parse_arg s =
   | Tint k ->
     shift s;
     Ast.A_value (Ast.Const k)
-  | Tp "*" ->
+  | Star ->
     shift s;
     Ast.A_value (Ast.Deref (ident s))
   | Tid x ->
     shift s;
-    if accept s ".." then
+    if accept s Dot_dot then
       let y = ident s in
       Ast.A_range (Ast.R_iters (x, y))
-    else if List.mem_assoc x s.containers then Ast.A_range (Ast.R_container x)
-    else if List.mem x s.iters then Ast.A_iter x
+    else if is_container x s.containers then Ast.A_range (Ast.R_container x)
+    else if is_iter x s.iters then Ast.A_iter x
     else Ast.A_pred x
   | _ -> error s.lx "expected an argument"
 
-let parse_algo_call s name =
-  (* '(' already consumed by caller? no: consume here *)
-  expect s "(";
-  let args =
-    if accept s ")" then []
-    else begin
-      let rec go acc =
-        let a = parse_arg s in
-        if accept s "," then go (a :: acc) else List.rev (a :: acc)
-      in
-      let args = go [] in
-      expect s ")";
-      args
-    end
-  in
-  (name, args)
+let rec parse_args s acc =
+  let a = parse_arg s in
+  if accept s Comma then parse_args s (a :: acc)
+  else begin
+    expect s Rparen;
+    List.rev (a :: acc)
+  end
+
+let parse_algo_call s =
+  expect s Lparen;
+  if accept s Rparen then [] else parse_args s []
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -269,191 +331,202 @@ let parse_rhs s ~result_name =
   | Tid "singular" ->
     shift s;
     `Init Ast.Singular_init
-  | Tid x when List.mem_assoc x s.containers -> (
+  | Tid x when is_container x s.containers -> (
     shift s;
-    expect s ".";
+    expect s Dot;
     let m = ident s in
     match m with
     | "begin" ->
-      expect s "(";
-      expect s ")";
+      expect s Lparen;
+      expect s Rparen;
       `Init (Ast.Begin_of x)
     | "end" ->
-      expect s "(";
-      expect s ")";
+      expect s Lparen;
+      expect s Rparen;
       `Init (Ast.End_of x)
     | "erase" ->
-      expect s "(";
+      expect s Lparen;
       let at = ident s in
-      expect s ")";
+      expect s Rparen;
       `Stmt (Ast.Erase { container = x; at; result = Some result_name })
     | "insert" ->
-      expect s "(";
+      expect s Lparen;
       let at = ident s in
-      expect s ",";
+      expect s Comma;
       let v = parse_expr s in
-      expect s ")";
-      `Stmt (Ast.Insert { container = x; at; value = v; result = Some result_name })
+      expect s Rparen;
+      `Stmt
+        (Ast.Insert { container = x; at; value = v; result = Some result_name })
     | _ -> error s.lx "container %s has no member %s usable here" x m)
-  | Tid x when List.mem x s.iters ->
+  | Tid x when is_iter x s.iters ->
     shift s;
     `Init (Ast.Copy_of x)
   | Tid algo -> (
     shift s;
     match s.tok with
-    | Tp "(" ->
-      let name, args = parse_algo_call s algo in
-      `Stmt (Ast.Algo { algo = name; args; result = Some result_name })
+    | Lparen ->
+      let args = parse_algo_call s in
+      `Stmt (Ast.Algo { algo; args; result = Some result_name })
     | _ -> error s.lx "unknown name %s on the right of '='" algo)
   | _ -> error s.lx "expected an iterator initialiser"
 
+(* The label runs from the statement's first token (from just after it,
+   when that token is punctuation) to the end of the lookahead token
+   after the statement; [label_of] keeps the first line. *)
+let finish s start node =
+  { Ast.label = label_of s.lx (max 0 start) s.lx.pos; node }
+
 let rec parse_stmt s =
   let start = s.lx.pos - (match s.tok with Tid x -> String.length x | _ -> 0) in
-  let finish node =
-    let stop = s.lx.pos in
-    { Ast.label = label_of s.lx (max 0 start) stop; node }
-  in
   match s.tok with
-  | Tid kw when container_kind_of kw <> None ->
+  | Tid kw -> (
+    match container_kind_of kw with
+    | Some kind ->
+      shift s;
+      (* optional template argument: vector<int> *)
+      if accept s Lt then begin
+        (match s.tok with Tid _ -> shift s | _ -> ());
+        expect s Gt
+      end;
+      let name = ident s in
+      let sorted =
+        match s.tok with
+        | Tid "sorted" ->
+          shift s;
+          true
+        | _ -> false
+      in
+      expect s Semi;
+      s.containers <- (name, kind) :: s.containers;
+      finish s start (Ast.Decl_container { name; kind; sorted })
+    | None -> parse_word_stmt s start kw)
+  | Plus_plus ->
     shift s;
-    (* optional template argument: vector<int> *)
-    if accept s "<" then begin
-      (match s.tok with Tid _ -> shift s | _ -> ());
-      expect s ">"
-    end;
-    let name = ident s in
-    let sorted = (match s.tok with Tid "sorted" -> shift s; true | _ -> false) in
-    expect s ";";
-    s.containers <- (name, Option.get (container_kind_of kw)) :: s.containers;
-    finish
-      (Ast.Decl_container
-         { name; kind = Option.get (container_kind_of kw); sorted })
-  | Tid "iter" when not (match peek_ahead s with Tp "=" -> true | _ -> false) -> (
+    let x = ident s in
+    expect s Semi;
+    finish s start (Ast.Incr x)
+  | Minus_minus ->
+    shift s;
+    let x = ident s in
+    expect s Semi;
+    finish s start (Ast.Decr x)
+  | Star ->
+    shift s;
+    let x = ident s in
+    if accept s Assign then begin
+      let e = parse_expr s in
+      expect s Semi;
+      finish s start (Ast.Deref_write (x, e))
+    end
+    else begin
+      expect s Semi;
+      finish s start (Ast.Deref_read x)
+    end
+  | _ -> error s.lx "expected a statement"
+
+(* A statement opening with an identifier that is not a container kind. *)
+and parse_word_stmt s start = function
+  | "iter" when not (next_is_assign s.lx) -> (
     (* 'iter' introduces a declaration unless the next token is '=', in
        which case it is an ordinary variable named iter (as in the
        paper's own Fig. 4 listing) *)
     shift s;
     let name = ident s in
     s.iters <- name :: s.iters;
-    expect s "=";
+    expect s Assign;
     match parse_rhs s ~result_name:name with
     | `Init init ->
-      expect s ";";
-      finish (Ast.Decl_iter { name; init })
+      expect s Semi;
+      finish s start (Ast.Decl_iter { name; init })
     | `Stmt node ->
-      expect s ";";
-      finish node)
-  | Tid "while" ->
+      expect s Semi;
+      finish s start node)
+  | "while" ->
     shift s;
-    expect s "(";
+    expect s Lparen;
     let cond = parse_cond s in
-    expect s ")";
-    expect s "{";
-    let body = parse_block s in
-    finish (Ast.While (cond, body))
-  | Tid "if" ->
+    expect s Rparen;
+    expect s Lbrace;
+    let body = parse_block s [] in
+    finish s start (Ast.While (cond, body))
+  | "if" ->
     shift s;
-    expect s "(";
+    expect s Lparen;
     let cond = parse_cond s in
-    expect s ")";
-    expect s "{";
-    let then_ = parse_block s in
+    expect s Rparen;
+    expect s Lbrace;
+    let then_ = parse_block s [] in
     let else_ =
       match s.tok with
       | Tid "else" ->
         shift s;
-        expect s "{";
-        parse_block s
+        expect s Lbrace;
+        parse_block s []
       | _ -> []
     in
-    finish (Ast.If (cond, then_, else_))
-  | Tp "++" ->
+    finish s start (Ast.If (cond, then_, else_))
+  | x when is_container x s.containers -> (
     shift s;
-    let x = ident s in
-    expect s ";";
-    finish (Ast.Incr x)
-  | Tp "--" ->
-    shift s;
-    let x = ident s in
-    expect s ";";
-    finish (Ast.Decr x)
-  | Tp "*" -> (
-    shift s;
-    let x = ident s in
-    if accept s "=" then begin
-      let e = parse_expr s in
-      expect s ";";
-      finish (Ast.Deref_write (x, e))
-    end
-    else begin
-      expect s ";";
-      finish (Ast.Deref_read x)
-    end)
-  | Tid x when List.mem_assoc x s.containers -> (
-    shift s;
-    expect s ".";
+    expect s Dot;
     let m = ident s in
-    expect s "(";
+    expect s Lparen;
     match m with
     | "push_back" | "push_front" ->
       let e = parse_expr s in
-      expect s ")";
-      expect s ";";
-      finish
-        (if m = "push_back" then Ast.Push_back (x, e)
+      expect s Rparen;
+      expect s Semi;
+      finish s start
+        (if String.equal m "push_back" then Ast.Push_back (x, e)
          else Ast.Push_front (x, e))
     | "pop_back" ->
-      expect s ")";
-      expect s ";";
-      finish (Ast.Pop_back x)
+      expect s Rparen;
+      expect s Semi;
+      finish s start (Ast.Pop_back x)
     | "erase" ->
       let at = ident s in
-      expect s ")";
-      expect s ";";
-      finish (Ast.Erase { container = x; at; result = None })
+      expect s Rparen;
+      expect s Semi;
+      finish s start (Ast.Erase { container = x; at; result = None })
     | "insert" ->
       let at = ident s in
-      expect s ",";
+      expect s Comma;
       let v = parse_expr s in
-      expect s ")";
-      expect s ";";
-      finish (Ast.Insert { container = x; at; value = v; result = None })
+      expect s Rparen;
+      expect s Semi;
+      finish s start
+        (Ast.Insert { container = x; at; value = v; result = None })
     | _ -> error s.lx "unknown container member %s" m)
-  | Tid x when List.mem x s.iters ->
+  | x when is_iter x s.iters -> (
     (* iterator reassignment *)
     shift s;
-    expect s "=";
-    (match parse_rhs s ~result_name:x with
+    expect s Assign;
+    match parse_rhs s ~result_name:x with
     | `Init init ->
-      expect s ";";
-      finish (Ast.Assign_iter { name = x; init })
+      expect s Semi;
+      finish s start (Ast.Assign_iter { name = x; init })
     | `Stmt node ->
-      expect s ";";
-      finish node)
-  | Tid algo -> (
+      expect s Semi;
+      finish s start node)
+  | algo -> (
     shift s;
     match s.tok with
-    | Tp "(" ->
-      let name, args = parse_algo_call s algo in
-      expect s ";";
-      finish (Ast.Algo { algo = name; args; result = None })
+    | Lparen ->
+      let args = parse_algo_call s in
+      expect s Semi;
+      finish s start (Ast.Algo { algo; args; result = None })
     | _ -> error s.lx "unexpected statement starting with %s" algo)
-  | _ -> error s.lx "expected a statement"
 
-and parse_block s =
-  let rec go acc =
-    if accept s "}" then List.rev acc else go (parse_stmt s :: acc)
-  in
-  go []
+and parse_block s acc =
+  if accept s Rbrace then List.rev acc else parse_block s (parse_stmt s :: acc)
+
+let rec parse_stmts s acc =
+  match s.tok with
+  | Teof -> List.rev acc
+  | _ -> parse_stmts s (parse_stmt s :: acc)
 
 let parse_program src =
-  let s = mk src in
-  let rec go acc =
-    match s.tok with
-    | Teof -> List.rev acc
-    | _ -> go (parse_stmt s :: acc)
-  in
-  go []
+  Gp_telemetry.Tel.with_span ~name:"stllint.parse" (fun () ->
+      parse_stmts (mk src) [])
 
 (* Parse then check: the complete pipeline. *)
 let check_source src = Interp.check (parse_program src)

@@ -173,6 +173,19 @@ let test_unterminated_string () =
   | _ -> Alcotest.fail "expected a parse error"
   | exception Lang.Parse_error _ -> ()
 
+(* An overflowing integer literal is a positioned parse error, not a
+   [Failure] from [int_of_string]. *)
+let test_overflowing_literal () =
+  let src =
+    "concept Fast<C> {\n  complexity size O(n^99999999999999999999);\n}"
+  in
+  match Lang.parse_string src with
+  | _ -> Alcotest.fail "accepted an overflowing literal"
+  | exception Lang.Parse_error { line; message; _ } ->
+    Alcotest.(check int) "line of the literal" 2 line;
+    Alcotest.(check string) "message"
+      "integer literal 99999999999999999999 is out of range" message
+
 let test_roundtrip () =
   let reg = Registry.create () in
   Lang.load_string reg monoid_src;
@@ -308,6 +321,8 @@ let () =
           Alcotest.test_case "position" `Quick test_parse_error_position;
           Alcotest.test_case "unterminated string" `Quick
             test_unterminated_string;
+          Alcotest.test_case "overflowing literal" `Quick
+            test_overflowing_literal;
         ] );
       ("roundtrip", [ Alcotest.test_case "monoid" `Quick test_roundtrip ]);
       ( "surface details",

@@ -568,6 +568,27 @@ let test_malformed_corpus () =
   check_code "bad optimize expr" Request.Parse_failure
     (Server.handle server
        (Request.Optimize { expr = "x * * 1"; certified_only = false }));
+  (* number literals their parsers cannot convert *)
+  check_code "overflowing lint literal" Request.Parse_failure
+    (Server.handle server
+       (Request.Lint
+          { source = "vector v;\nv.push_back(99999999999999999999999);" }));
+  check_code "malformed optimize literal" Request.Parse_failure
+    (Server.handle server
+       (Request.Optimize { expr = "1.2.3 + 1"; certified_only = false }));
+  check_code "overflowing .gpc literal" Request.Parse_failure
+    (Server.handle server
+       (Request.Parse
+          { source =
+              "concept C<T> { complexity f O(n^99999999999999999999); }" }));
+  (match
+     Server.serve_line server
+       {|{"kind":"optimize","expr":"x + 99999999999999999999"}|}
+   with
+  | Some rsp ->
+    Alcotest.(check bool) "overflowing literal on the wire" true
+      (contains (Wire.response_to_line rsp) {|"error":"parse-failure"|})
+  | None -> Alcotest.fail "overflowing literal must get a response");
   check_code "unknown concept" Request.Unknown_name
     (Server.handle server
        (Request.Closure { concept = "NoSuchConcept"; types = [ "int" ] }));

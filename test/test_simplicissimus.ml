@@ -251,6 +251,19 @@ let test_sparser_type_mismatch () =
       | exception Sparser.Parse_error _ -> ())
     [ "x + 1.0"; "x:float + 1"; "b:bool + 1"; "x + "; "(x"; "x ~ y" ]
 
+(* A malformed or overflowing number literal is the parser's own error,
+   not a [Failure] from the conversion. *)
+let test_sparser_bad_literals () =
+  List.iter
+    (fun (src, message) ->
+      match Sparser.parse src with
+      | e -> Alcotest.failf "accepted %S as %s" src (Expr.to_string e)
+      | exception Sparser.Parse_error m ->
+        Alcotest.(check string) src message m)
+    [ ("1.2.3 + 1", "at 0: malformed number 1.2.3");
+      ( "x + 99999999999999999999",
+        "at 4: integer literal 99999999999999999999 is out of range" ) ]
+
 let test_sparser_pipeline () =
   (* parse, rewrite, evaluate end-to-end *)
   let e = Sparser.parse "(x*1 + 0) + (0 - x)" in
@@ -723,6 +736,7 @@ let () =
           Alcotest.test_case "type mismatch" `Quick
             test_sparser_type_mismatch;
           Alcotest.test_case "pipeline" `Quick test_sparser_pipeline;
+          Alcotest.test_case "bad literals" `Quick test_sparser_bad_literals;
         ] );
       ( "certification",
         [
